@@ -2,9 +2,11 @@
 moat duals, the exact cost identity, and the per-iteration counting
 bounds on antenna/killer/expansion arcs.
 
-Everything is recomputed from scratch out of the trace's purchase
-sequence (moats, roles, payments), never trusted from the recorded
-payments, so the audit doubles as a differential test of the engine.
+`run_full` trusts nothing recorded: it regrows the run from the instance
+with the engine's own loop (`engine.grow`) and compares the regrown trace
+with the recorded one field by field, naming the first divergence.  The
+three `verify_*` checks are plain arithmetic over whatever trace they are
+given (its payments and duals); `run_full` gives them the regrown one.
 """
 
 from __future__ import annotations
@@ -12,27 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .instance import FAMILY_MINOR_FREE, FAMILY_PLANAR_BIPARTITE, Instance
-from .engine import (
-    MODE_BUCKETED,
-    GrowthTrace,
-    IterationRecord,
-    Payment,
-    Solution,
-    STANDARD,
-)
-from .moats import (
-    ANTENNA,
-    KILLER,
-    Moat,
-    active_moats,
-    classify_arc,
-    is_antenna_arc,
-    key_to_str,
-    str_to_key,
-)
+from .engine import MODE_BUCKETED, GrowthTrace, Solution, grow
+from .moats import ANTENNA, KILLER, is_antenna_arc, str_to_key
+
+# Not called here: the certify benchmark's tracer wraps these names on this
+# module (certbench/tracing.py TARGETS), so they stay attributes of it.
+from .moats import active_moats, classify_arc  # noqa: F401
 
 PLANAR_RATIO_BOUND = Fraction(20)
 
@@ -65,6 +54,9 @@ class AuditReport:
     ratio_vs_lb: Fraction | None = None
     ratio_vs_opt: Fraction | None = None
     breaches: list[str] = field(default_factory=list)
+    # First (iteration, field) where the regrown run differs from the
+    # recorded one; iteration is None for a header field.
+    divergence: tuple[int | None, str] | None = None
 
     @property
     def all_ok(self) -> bool:
@@ -87,48 +79,13 @@ class AuditReport:
             "ratio_vs_lb " + (str(self.ratio_vs_lb) if self.ratio_vs_lb is not None else "n/a"),
             "ratio_vs_opt " + (str(self.ratio_vs_opt) if self.ratio_vs_opt is not None else "n/a"),
         ]
+        if self.divergence is not None:
+            index, name = self.divergence
+            where = "header" if index is None else f"iteration {index}"
+            lines.append(f"divergence {where} {name}")
         for breach in self.breaches:
             lines.append(f"breach {breach}")
         return "\n".join(lines) + "\n"
-
-
-def _replay(
-    inst: Instance, trace: GrowthTrace
-) -> Iterator[tuple[IterationRecord, frozenset[int], list[Moat], dict[int, list[tuple[str, str]]]]]:
-    """Yield, per iteration, the recomputed purchased-set snapshot, active
-    moats, and role classification of every unpurchased arc entering a
-    moat (arc -> [(moat key str, role)])."""
-    bucketed = trace.mode == MODE_BUCKETED
-    purchased: set[int] = set()
-    for rec in trace.iterations:
-        frozen = frozenset(purchased)
-        moats = active_moats(inst, frozen)
-        head_moats: dict[int, list[Moat]] = {}
-        for moat in moats:
-            for v in moat.vertices:
-                head_moats.setdefault(v, []).append(moat)
-        classes: dict[int, list[tuple[str, str]]] = {}
-        for arc_id in range(len(inst.arcs)):
-            if arc_id in purchased:
-                continue
-            arc = inst.arcs[arc_id]
-            if arc.head not in head_moats:
-                continue
-            if bucketed:
-                pairs = [
-                    (key_to_str(key), role)
-                    for key, role in classify_arc(inst, frozen, head_moats[arc.head], arc_id)
-                ]
-            else:
-                pairs = [
-                    (m.key_str, STANDARD)
-                    for m in head_moats[arc.head]
-                    if arc.tail not in m.vertices
-                ]
-            if pairs:
-                classes[arc_id] = pairs
-        yield rec, frozen, moats, classes
-        purchased.add(rec.purchased[0])
 
 
 def verify_dual_feasibility(
@@ -153,37 +110,27 @@ def verify_dual_feasibility(
     return loads, ok
 
 
-def _payments_match(rec: IterationRecord, classes: dict[int, list[tuple[str, str]]]) -> bool:
-    expected = {
-        (arc_id, kind, key, rec.epsilon)
-        for arc_id, pairs in classes.items()
-        for key, kind in pairs
-    }
-    return expected == set(rec.payments)
-
-
 def verify_cost_identity(
     inst: Instance, trace: GrowthTrace, sol: Solution
 ) -> tuple[bool, list[tuple[int, Fraction, int]]]:
-    """Recompute, per iteration, how many final arcs each moat paid under
-    their eventual purchase label, and check that
+    """Count, per iteration, the trace's payments to final arcs under their
+    eventual purchase label (any payment in standard mode), and check that
     sum_l epsilon_l * sum_A |Delta_l(A)| equals the pruned cost exactly.
+    The payments are read from the trace, not re-derived; `run_full` passes
+    a regrown trace.
 
     Returns (ok, table) with table rows (iteration, epsilon, delta_total).
     """
     final_labels = sol.arc_labels
+    bucketed = trace.mode == MODE_BUCKETED
     table = []
     total = Fraction(0)
-    for rec, _, _, classes in _replay(inst, trace):
-        count = 0
-        for arc_id, pairs in classes.items():
-            want = final_labels.get(arc_id)
-            if want is None:
-                continue
-            if trace.mode != MODE_BUCKETED:
-                count += len(pairs)
-                continue
-            count += sum(1 for _, role in pairs if role == want)
+    for rec in trace.iterations:
+        count = sum(
+            1
+            for p in rec.payments
+            if p.arc in final_labels and (not bucketed or p.kind == final_labels[p.arc])
+        )
         table.append((rec.index, rec.epsilon, count))
         total += rec.epsilon * count
     return total == sol.total_cost, table
@@ -196,36 +143,33 @@ def verify_counting_lemmas(
     enters each moat and their total is at most the moat count, final
     killer arcs being paid number at most the moat count, and final
     expansion arcs at most twice the moat count.  Also reports the largest
-    delta-to-moat ratio seen.  Only defined for bucketed traces."""
+    delta-to-moat ratio seen.  Counts come from the trace's payments, as in
+    `verify_cost_identity`.  Only defined for bucketed traces."""
     if trace.mode != MODE_BUCKETED:
         raise ValueError("counting lemmas apply to bucketed traces only")
     final_labels = sol.arc_labels
     deltas: list[IterationDelta] = []
     ok = True
     alpha_max: Fraction | None = None
-    for rec, _, moats, classes in _replay(inst, trace):
-        per_moat = {m.key_str: [0, 0, 0] for m in moats}
+    for rec in trace.iterations:
+        per_moat = {key: [0, 0, 0] for key in rec.moats}
         killer_front: set[int] = set()
         expansion_front: set[int] = set()
-        for arc_id, pairs in classes.items():
-            want = final_labels.get(arc_id)
-            if want is None:
+        for p in rec.payments:
+            if final_labels.get(p.arc) != p.kind:
                 continue
-            for key, role in pairs:
-                if role != want:
-                    continue
-                counts = per_moat[key]
-                if role == ANTENNA:
-                    counts[0] += 1
-                elif role == KILLER:
-                    counts[1] += 1
-                    killer_front.add(arc_id)
-                else:
-                    counts[2] += 1
-                    expansion_front.add(arc_id)
+            counts = per_moat.setdefault(p.moat, [0, 0, 0])
+            if p.kind == ANTENNA:
+                counts[0] += 1
+            elif p.kind == KILLER:
+                counts[1] += 1
+                killer_front.add(p.arc)
+            else:
+                counts[2] += 1
+                expansion_front.add(p.arc)
         delta = IterationDelta(
             index=rec.index,
-            moat_count=len(moats),
+            moat_count=len(rec.moats),
             per_moat={k: tuple(v) for k, v in per_moat.items()},
             killer_front=frozenset(killer_front),
             expansion_front=frozenset(expansion_front),
@@ -275,29 +219,49 @@ def ratio_report(
     return report
 
 
+HEADER_FIELDS = ("instance_hash", "node_count", "root", "terminals")
+ITERATION_FIELDS = ("index", "moats", "epsilon", "payments", "purchased", "kills")
+
+
+def _first_divergence(
+    recorded: GrowthTrace, regrown: GrowthTrace
+) -> tuple[int | None, str] | None:
+    """First (iteration, field) where the recorded trace differs from the
+    regrown one: header fields (iteration None), then each iteration's
+    fields in ITERATION_FIELDS order, then the iteration count (field
+    `count`, at the first iteration only one trace has)."""
+    for name in HEADER_FIELDS:
+        if getattr(recorded, name) != getattr(regrown, name):
+            return None, name
+    for index, (rec, want) in enumerate(zip(recorded.iterations, regrown.iterations)):
+        for name in ITERATION_FIELDS:
+            if getattr(rec, name) != getattr(want, name):
+                return index, name
+    if len(recorded.iterations) != len(regrown.iterations):
+        return min(len(recorded.iterations), len(regrown.iterations)), "count"
+    return None
+
+
 def run_full(
     inst: Instance,
     trace: GrowthTrace,
     sol: Solution,
     opt: Fraction | None = None,
 ) -> AuditReport:
-    """All audit checks on one run."""
+    """All audit checks on one run.  The run is regrown from the instance in
+    the recorded mode; `payments_consistent` is false exactly when the
+    regrown trace differs from the recorded one, and `divergence` names
+    the first differing (iteration, field).  The certificate checks then
+    run on the regrown trace."""
     report = ratio_report(inst, sol, opt)
+    regrown = grow(inst, trace.mode)
+    report.divergence = _first_divergence(trace, regrown)
+    report.payments_consistent = report.divergence is None
 
-    payments_ok = True
-    for rec, _, moats, classes in _replay(inst, trace):
-        if tuple(m.key_str for m in moats) != rec.moats:
-            payments_ok = False
-            break
-        if not _payments_match(rec, classes):
-            payments_ok = False
-            break
-    report.payments_consistent = payments_ok
-
-    report.cost_identity_ok, _ = verify_cost_identity(inst, trace, sol)
-    _, report.dual_feasible_ok = verify_dual_feasibility(inst, trace)
-    if trace.mode == MODE_BUCKETED:
-        lemmas_ok, deltas, alpha_max = verify_counting_lemmas(inst, trace, sol)
+    report.cost_identity_ok, _ = verify_cost_identity(inst, regrown, sol)
+    _, report.dual_feasible_ok = verify_dual_feasibility(inst, regrown)
+    if regrown.mode == MODE_BUCKETED:
+        lemmas_ok, deltas, alpha_max = verify_counting_lemmas(inst, regrown, sol)
         report.lemmas_ok = lemmas_ok
         report.deltas = deltas
         report.alpha_max = alpha_max

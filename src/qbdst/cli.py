@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 from pathlib import Path
@@ -34,18 +33,6 @@ EXIT_BREACH = 2
 EXIT_GUARD = 3
 
 
-@dataclass
-class RunRecord:
-    instance_hash: str
-    command: str
-    total_cost: Fraction | None = None
-    lower_bound: Fraction | None = None
-    ratio_vs_lb: Fraction | None = None
-    ratio_vs_opt: Fraction | None = None
-    audit_ok: bool | None = None
-    wall_time: float = 0.0
-
-
 def _fmt(value, decimal: bool) -> str:
     if value is None:
         return "n/a"
@@ -60,6 +47,14 @@ def _load_instance(path: str) -> Instance:
     return normalize_parallel(parse_instance(text))
 
 
+def _report_invalid(inst: Instance) -> bool:
+    """Print every validation failure; true when there was one."""
+    violations = validate(inst)
+    for item in violations:
+        print(f"invalid: {item}")
+    return bool(violations)
+
+
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     try:
@@ -67,10 +62,7 @@ def cmd_solve(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    violations = validate(inst)
-    if violations:
-        for item in violations:
-            print(f"invalid: {item}")
+    if _report_invalid(inst):
         return EXIT_INVALID
 
     if args.baseline:
@@ -86,31 +78,22 @@ def cmd_solve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_GUARD
 
-    record = RunRecord(
-        instance_hash=trace.instance_hash,
-        command="solve --baseline" if args.baseline else "solve",
-        total_cost=sol.total_cost,
-        lower_bound=sol.lower_bound,
-        ratio_vs_lb=sol.total_cost / sol.lower_bound if sol.lower_bound else None,
-        ratio_vs_opt=sol.total_cost / opt if opt else None,
-    )
-
     status = EXIT_OK
     report = None
     if args.audit:
         report = audit_mod.run_full(inst, trace, sol, opt)
-        record.audit_ok = report.all_ok
         if not report.all_ok:
             status = EXIT_BREACH
 
-    print(f"instance {record.instance_hash}")
+    ratio_vs_lb = sol.total_cost / sol.lower_bound if sol.lower_bound else None
+    print(f"instance {trace.instance_hash}")
     print(f"mode {trace.mode}")
     print(f"arcs_bought {len(trace.iterations)}")
     print(f"arcs_final {len(sol.final_arcs)}")
-    print(f"cost {_fmt(record.total_cost, args.decimal)}")
+    print(f"cost {_fmt(sol.total_cost, args.decimal)}")
     print(f"dual_total {_fmt(sol.dual_total, args.decimal)}")
-    print(f"lower_bound {_fmt(record.lower_bound, args.decimal)}")
-    print(f"ratio_vs_lb {_fmt(record.ratio_vs_lb, args.decimal)}")
+    print(f"lower_bound {_fmt(sol.lower_bound, args.decimal)}")
+    print(f"ratio_vs_lb {_fmt(ratio_vs_lb, args.decimal)}")
     for arc_id in sol.final_arcs:
         arc = inst.arcs[arc_id]
         print(
@@ -119,7 +102,8 @@ def cmd_solve(args) -> int:
         )
     if opt is not None:
         print(f"opt {_fmt(opt, args.decimal)}")
-        print(f"ratio_vs_opt {_fmt(record.ratio_vs_opt, args.decimal)}")
+        ratio_vs_opt = sol.total_cost / opt if opt else None
+        print(f"ratio_vs_opt {_fmt(ratio_vs_opt, args.decimal)}")
     if report is not None:
         sys.stdout.write(report.render())
 
@@ -127,8 +111,7 @@ def cmd_solve(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as handle:
             engine.write_trace(trace, handle)
 
-    record.wall_time = time.perf_counter() - started
-    print(f"wall_time_s {record.wall_time:.3f}")
+    print(f"wall_time_s {time.perf_counter() - started:.3f}")
     return status
 
 
@@ -251,6 +234,17 @@ def cmd_audit(args) -> int:
         return EXIT_INVALID
     if trace.instance_hash != instance_hash(inst):
         print("error: trace does not match instance (hash mismatch)", file=sys.stderr)
+        return EXIT_INVALID
+    if _report_invalid(inst):
+        return EXIT_INVALID
+    arc_ids = [p.arc for rec in trace.iterations for p in rec.payments]
+    arc_ids += trace.purchases()
+    if arc_ids and max(arc_ids) >= len(inst.arcs):
+        print(
+            f"error: trace names arc {max(arc_ids)}, but the instance has "
+            f"{len(inst.arcs)} arcs",
+            file=sys.stderr,
+        )
         return EXIT_INVALID
     sol = engine.reverse_delete(inst, trace)
     opt = None

@@ -30,10 +30,10 @@ from .moats import (
     key_to_str,
 )
 
-STANDARD = "standard"
-
 MODE_BUCKETED = "bucketed"
+# The baseline's mode, and the kind of its one bucket per arc.
 MODE_STANDARD = "standard"
+MODES = (MODE_BUCKETED, MODE_STANDARD)
 
 
 class EngineError(RuntimeError):
@@ -94,20 +94,6 @@ class Solution:
     lower_bound: Fraction
 
 
-class BucketState:
-    """Per-(kind, arc) fill levels, each capped by the arc cost."""
-
-    def __init__(self) -> None:
-        self._fill: dict[tuple[str, int], Fraction] = {}
-
-    def fill(self, kind: str, arc: int) -> Fraction:
-        return self._fill.get((kind, arc), Fraction(0))
-
-    def add(self, kind: str, arc: int, amount: Fraction) -> None:
-        if amount:
-            self._fill[(kind, arc)] = self.fill(kind, arc) + amount
-
-
 def _payer_map(
     inst: Instance,
     purchased: frozenset[int],
@@ -139,7 +125,7 @@ def _payer_map(
                 if arc.tail not in m.vertices
             ]
             if keys:
-                payers[(arc_id, STANDARD)] = keys
+                payers[(arc_id, MODE_STANDARD)] = keys
             continue
         for key, role in classify_arc(inst, purchased, head_moats[arc.head], arc_id):
             payers.setdefault((arc_id, role), []).append(key_to_str(key))
@@ -148,12 +134,14 @@ def _payer_map(
 
 def _epsilon_from_payers(
     inst: Instance,
-    buckets: BucketState,
+    fills: dict[tuple[str, int], Fraction],
     payers: dict[tuple[int, str], list[str]],
 ) -> tuple[Fraction, list[tuple[int, str]]]:
+    """Largest uniform growth that overfills no paid bucket, plus every
+    bucket reaching capacity at that growth.  Epsilon may be 0."""
     epsilon: Fraction | None = None
     for (arc_id, kind), moat_keys in payers.items():
-        remaining = inst.arcs[arc_id].cost - buckets.fill(kind, arc_id)
+        remaining = inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0)
         candidate = remaining / len(moat_keys)
         if epsilon is None or candidate < epsilon:
             epsilon = candidate
@@ -161,40 +149,30 @@ def _epsilon_from_payers(
     tight = sorted(
         (arc_id, kind)
         for (arc_id, kind), moat_keys in payers.items()
-        if inst.arcs[arc_id].cost - buckets.fill(kind, arc_id)
+        if inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0)
         == epsilon * len(moat_keys)
     )
     return epsilon, tight
 
 
-def compute_epsilon(
-    inst: Instance,
-    purchased: frozenset[int],
-    moats: list[Moat],
-    buckets: BucketState,
-) -> tuple[Fraction, list[tuple[int, str]]]:
-    """Largest uniform growth that overfills no paid bucket, plus every
-    bucket reaching capacity at that growth.  Epsilon may be 0."""
-    payers = _payer_map(inst, purchased, moats, bucketed=True)
-    if not payers:
-        raise EngineError(
-            "stalled growth: no payable arc enters any active moat "
-            "(unreachable terminal escaped validation)"
-        )
-    return _epsilon_from_payers(inst, buckets, payers)
-
-
-def _grow(inst: Instance, bucketed: bool) -> GrowthTrace:
+def grow(inst: Instance, mode: str) -> GrowthTrace:
+    """The growth phase in one mode: classify, pay, buy one tight arc per
+    iteration, until no active moats remain.  `bucketed` keeps antenna,
+    expansion and killer buckets; `standard` keeps one bucket per arc.
+    The audit regrows a recorded run with this same loop."""
+    if mode not in MODES:
+        raise ValueError(f"unknown growth mode {mode!r}")
+    bucketed = mode == MODE_BUCKETED
     require_valid(inst)
     trace = GrowthTrace(
-        mode=MODE_BUCKETED if bucketed else MODE_STANDARD,
+        mode=mode,
         instance_hash=instance_hash(inst),
         node_count=inst.node_count,
         root=inst.root,
         terminals=inst.terminals,
     )
     purchased_set: set[int] = set()
-    buckets = BucketState()
+    fills: dict[tuple[str, int], Fraction] = {}  # (kind, arc) -> paid so far
     alive = set(inst.terminals)
     moats = active_moats(inst, frozenset())
     index = 0
@@ -208,11 +186,14 @@ def _grow(inst: Instance, bucketed: bool) -> GrowthTrace:
                 "stalled growth: no payable arc enters any active moat "
                 "(unreachable terminal escaped validation)"
             )
-        epsilon, tight = _epsilon_from_payers(inst, buckets, payers)
+        epsilon, tight = _epsilon_from_payers(inst, fills, payers)
 
         payments = []
         for (arc_id, kind), moat_keys in sorted(payers.items()):
-            buckets.add(kind, arc_id, epsilon * len(moat_keys))
+            if epsilon:
+                fills[(kind, arc_id)] = (
+                    fills.get((kind, arc_id), Fraction(0)) + epsilon * len(moat_keys)
+                )
             for key in sorted(moat_keys):
                 payments.append(Payment(arc_id, kind, key, epsilon))
         if epsilon:
@@ -273,12 +254,6 @@ def _grow(inst: Instance, bucketed: bool) -> GrowthTrace:
     return trace
 
 
-def grow_phase(inst: Instance) -> GrowthTrace:
-    """Bucketed growth: classify, pay, buy one tight arc per iteration,
-    until no active moats remain."""
-    return _grow(inst, bucketed=True)
-
-
 def reverse_delete(inst: Instance, trace: GrowthTrace) -> Solution:
     """Scan purchases in reverse order, dropping every arc whose removal
     keeps all terminals reachable from the root."""
@@ -303,13 +278,13 @@ def reverse_delete(inst: Instance, trace: GrowthTrace) -> Solution:
 def solve(inst: Instance) -> tuple[Solution, GrowthTrace]:
     """Bucketed growth followed by reverse delete.  The solution's
     lower_bound is half the accumulated duals, a valid LP lower bound."""
-    trace = grow_phase(inst)
+    trace = grow(inst, MODE_BUCKETED)
     return reverse_delete(inst, trace), trace
 
 
 def solve_standard_baseline(inst: Instance) -> tuple[Solution, GrowthTrace]:
     """Same loop with one undifferentiated bucket of size c(e) per arc."""
-    trace = _grow(inst, bucketed=False)
+    trace = grow(inst, MODE_STANDARD)
     return reverse_delete(inst, trace), trace
 
 
@@ -368,38 +343,116 @@ def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
         out.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _typed(kind: type):
+    def parse(value):
+        if type(value) is not kind:  # exact: a JSON true is not an integer
+            raise TypeError
+        return value
+
+    return parse
+
+
+_int, _str, _list = _typed(int), _typed(str), _typed(list)
+
+
+def _arc(value) -> int:
+    if _int(value) < 0:
+        raise ValueError
+    return value
+
+
+def _rational(value) -> Fraction:
+    return Fraction(_str(value))
+
+
+def _mode(value) -> str:
+    if value not in MODES:
+        raise ValueError
+    return value
+
+
+def _list_of(item):
+    return lambda value: tuple(item(v) for v in _list(value))
+
+
+def _tuple_of(*items):
+    def parse(value):
+        if len(_list(value)) != len(items):
+            raise TypeError
+        return tuple(item(v) for item, v in zip(items, value))
+
+    return parse
+
+
+_purchase = _tuple_of(_arc, _str)
+_payment_row = _tuple_of(_arc, _str, _str, _rational)
+
+
+def _payment(value) -> Payment:
+    return Payment(*_payment_row(value))
+
+
+class _Record:
+    """One JSON line of a trace file; every schema error is a one-line
+    ValueError naming the line and the key."""
+
+    def __init__(self, number: int, text: str) -> None:
+        self.where = f"trace line {number}"
+        try:
+            self.row = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{self.where}: not JSON ({exc.msg})") from None
+        if type(self.row) is not dict:
+            raise ValueError(f"{self.where}: not a JSON object")
+
+    def get(self, key: str, parse, expected: str):
+        if key not in self.row:
+            raise ValueError(f"{self.where}: missing key {key!r}")
+        try:
+            return parse(self.row[key])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"{self.where}: {key} must be {expected}") from None
+
+
 def read_trace(src: IO[str]) -> GrowthTrace:
-    lines = [line for line in src.read().splitlines() if line.strip()]
-    if not lines:
+    """Parse a trace file, checking its schema: key presence, value types,
+    arc ids >= 0 and a known mode.  Arc ids beyond the instance are the
+    caller's to reject, since the trace does not know the instance."""
+    records = [
+        _Record(number, line)
+        for number, line in enumerate(src.read().splitlines(), 1)
+        if line.strip()
+    ]
+    if not records:
         raise ValueError("empty trace file")
-    header = json.loads(lines[0])
-    if header.get("record") != "header":
+    header = records[0]
+    if header.row.get("record") != "header":
         raise ValueError("trace file must start with a header record")
     trace = GrowthTrace(
-        mode=header["mode"],
-        instance_hash=header["instance"],
-        node_count=header["nodes"],
-        root=header["root"],
-        terminals=frozenset(header["terminals"]),
+        mode=header.get("mode", _mode, " or ".join(MODES)),
+        instance_hash=header.get("instance", _str, "a string"),
+        node_count=header.get("nodes", _int, "an integer"),
+        root=header.get("root", _int, "an integer"),
+        terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
-    for line in lines[1:]:
-        row = json.loads(line)
-        if row.get("record") != "iteration":
-            raise ValueError(f"unexpected record {row.get('record')!r}")
-        epsilon = Fraction(row["epsilon"])
-        rec = IterationRecord(
-            index=row["l"],
-            epsilon=epsilon,
-            moats=tuple(row["moats"]),
-            payments=tuple(
-                Payment(arc, kind, moat, Fraction(amount))
-                for arc, kind, moat, amount in row["payments"]
-            ),
-            purchased=(row["purchase"][0], row["purchase"][1]),
-            kills=tuple(row["kills"]),
+    for rec in records[1:]:
+        if rec.row.get("record") != "iteration":
+            raise ValueError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
+        epsilon = rec.get("epsilon", _rational, "an exact rational string")
+        moats = rec.get("moats", _list_of(_str), "a list of strings")
+        trace.iterations.append(
+            IterationRecord(
+                index=rec.get("l", _int, "an integer"),
+                epsilon=epsilon,
+                moats=moats,
+                payments=rec.get(
+                    "payments", _list_of(_payment), "a list of [arc id >= 0, kind, moat, p/q]"
+                ),
+                purchased=rec.get("purchase", _purchase, "[arc id >= 0, label]"),
+                kills=rec.get("kills", _list_of(_int), "a list of integers"),
+            )
         )
-        trace.iterations.append(rec)
         if epsilon:
-            for key in rec.moats:
+            for key in moats:
                 trace.duals[key] = trace.duals.get(key, Fraction(0)) + epsilon
     return trace

@@ -26,19 +26,6 @@ BRUTE_NODE_LIMIT = 16
 
 
 @dataclass(frozen=True)
-class Scc:
-    """A strongly connected component of (V, F) containing the root or a
-    terminal.  Steiner singletons are never Sccs."""
-
-    vertices: frozenset[int]
-    contains_root: bool
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices))
-
-
-@dataclass(frozen=True)
 class Moat:
     """An active moat: SCC core plus attached Steiner tails."""
 
@@ -112,19 +99,6 @@ def _components(node_count: int, arcs: Iterable[tuple[int, int]]) -> list[list[i
                     work.append(w)
         comps.append(sorted(comp))
     return comps
-
-
-def scc_decompose(inst: Instance, purchased: Iterable[int]) -> list[Scc]:
-    """SCCs of (V, F) that contain the root or at least one terminal,
-    ordered by smallest member id."""
-    pairs = [(inst.arcs[i].tail, inst.arcs[i].head) for i in purchased]
-    out = []
-    for comp in _components(inst.node_count, pairs):
-        has_root = inst.root in comp
-        if has_root or any(v in inst.terminals for v in comp):
-            out.append(Scc(vertices=frozenset(comp), contains_root=has_root))
-    out.sort(key=lambda s: min(s.vertices))
-    return out
 
 
 def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:

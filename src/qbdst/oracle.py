@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .instance import Instance
 
 DP_TERMINAL_LIMIT = 14
@@ -91,6 +89,8 @@ def exact_opt_dp(inst: Instance) -> OptResult:
     """Terminal-subset DP: D[S][v] is the cheapest way to reach every
     terminal of S from v, built by splitting S at v and walking shortest
     paths.  Guarded to 14 terminals; raises on unreachable terminals."""
+    import numpy as np  # imported here so that the solver and CLI start without it
+
     terminals = sorted(inst.terminals)
     k = len(terminals)
     if k > DP_TERMINAL_LIMIT:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from qbdst.audit import (
     verify_counting_lemmas,
     verify_dual_feasibility,
 )
-from qbdst.engine import solve, solve_standard_baseline
+from qbdst.engine import reverse_delete, solve, solve_standard_baseline
 from qbdst.gen import gen_bad_example, gen_grid
 from qbdst.instance import Instance, parse_instance
+from qbdst.moats import KILLER
 from qbdst.oracle import exact_opt_dp
 
 from conftest import FOUR_NODE, SINGLE_ARC, random_valid_instance
@@ -200,3 +202,66 @@ def test_audit_over_random_grid_runs():
         sol, trace = solve(inst)
         report = run_full(inst, trace, sol)
         assert report.all_ok
+
+
+def _drop_kills(iterations):
+    iterations[0] = replace(iterations[0], kills=())
+
+
+def _swap_last_purchase(iterations):
+    iterations[-1] = replace(iterations[-1], purchased=(0, iterations[-1].purchased[1]))
+
+
+def _flip_label(iterations):
+    arc, _ = iterations[1].purchased
+    iterations[1] = replace(iterations[1], purchased=(arc, KILLER))
+
+
+def _append_last(iterations):
+    iterations.append(iterations[-1])
+
+
+def _drop_last(iterations):
+    iterations.pop()
+
+
+# FOUR_NODE buys a3 (killer), a4 (expansion), a2 (killer); each tampering
+# names the first (iteration, field) where it departs from the regrown run.
+TAMPERINGS = [
+    (_drop_kills, 0, "kills"),
+    (_swap_last_purchase, 2, "purchased"),
+    (_flip_label, 1, "purchased"),
+    (_append_last, 3, "count"),
+    (_drop_last, 2, "count"),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper, index, name", TAMPERINGS, ids=[t.__name__.strip("_") for t, _, _ in TAMPERINGS]
+)
+def test_tampered_four_node_trace_names_divergence(tamper, index, name):
+    inst = parse_instance(FOUR_NODE)
+    _, trace = solve(inst)
+    tamper(trace.iterations)
+    report = run_full(inst, trace, reverse_delete(inst, trace))
+    assert not report.all_ok
+    assert not report.payments_consistent
+    assert report.divergence == (index, name)
+    assert f"\ndivergence iteration {index} {name}\n" in report.render()
+
+
+def test_header_divergence_is_named():
+    inst = parse_instance(FOUR_NODE)
+    sol, trace = solve(inst)
+    trace.terminals = frozenset([2])
+    report = run_full(inst, trace, sol)
+    assert report.divergence == (None, "terminals")
+    assert "divergence header terminals" in report.render()
+
+
+def test_honest_report_has_no_divergence_line():
+    inst = parse_instance(FOUR_NODE)
+    sol, trace = solve(inst)
+    report = run_full(inst, trace, sol)
+    assert report.divergence is None
+    assert "divergence" not in report.render()

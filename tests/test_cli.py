@@ -1,8 +1,16 @@
+import io
+import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from qbdst import cli, engine
+from qbdst.gen import gen_bad_example
+from qbdst.instance import instance_hash, normalize_parallel, parse_instance, serialize_instance
 
 from conftest import FOUR_NODE, SINGLE_ARC
 
@@ -199,3 +207,146 @@ def test_bench_jobs_parallel(tmp_path):
 def test_decimal_flag(single_arc_file):
     result = run_cli("solve", str(single_arc_file), "--decimal")
     assert "lower_bound 5/2 (~2.5)" in result.stdout
+
+
+def _write_run(tmp_path: Path, inst_text: str) -> tuple[Path, list[dict]]:
+    inst_path = tmp_path / "inst.txt"
+    inst_path.write_text(inst_text, encoding="utf-8")
+    _, trace = engine.solve(normalize_parallel(parse_instance(inst_text)))
+    buf = io.StringIO()
+    engine.write_trace(trace, buf)
+    return inst_path, [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+def _audit_in_process(inst_path: Path, trace_path: Path, lines: list[str]) -> int:
+    trace_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return cli.main(["audit", str(inst_path), "--trace", str(trace_path)])
+
+
+@pytest.mark.parametrize(
+    "row, key, value",
+    [
+        (1, "purchase", [99, "killer"]),  # arc 99 of a 4-arc instance
+        (2, "payments", [[4, "killer", "3", "1/1"]]),  # arc id == |E|
+    ],
+)
+def test_audit_rejects_arc_ids_beyond_instance(tmp_path, capsys, row, key, value):
+    inst_path, rows = _write_run(tmp_path, FOUR_NODE)
+    rows[row][key] = value
+    lines = [json.dumps(r) for r in rows]
+    assert _audit_in_process(inst_path, tmp_path / "t.jsonl", lines) == 1
+    assert "the instance has 4 arcs" in capsys.readouterr().err
+
+
+def test_audit_validates_instance(tmp_path, capsys):
+    # Terminal 3 is unreachable; the header carries this instance's hash.
+    text = "NODES 3\nROOT 1\nTERMINALS 2 3\nARC 1 2 1\nEND\n"
+    inst_path = tmp_path / "bad.txt"
+    inst_path.write_text(text, encoding="utf-8")
+    header = {
+        "record": "header",
+        "mode": "bucketed",
+        "instance": instance_hash(parse_instance(text)),
+        "nodes": 3,
+        "root": 1,
+        "terminals": [2, 3],
+    }
+    assert _audit_in_process(inst_path, tmp_path / "t.jsonl", [json.dumps(header)]) == 1
+    assert "invalid: " in capsys.readouterr().out
+
+
+def _set_row(index, key, value):
+    def tamper(rows):
+        rows[index][key] = value
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper, divergence",
+    [
+        (_set_row(1, "kills", []), "iteration 0 kills"),
+        (_set_row(3, "purchase", [0, "killer"]), "iteration 2 purchased"),
+        (_set_row(2, "purchase", [3, "killer"]), "iteration 1 purchased"),
+        (lambda rows: rows.append(rows[-1]), "iteration 3 count"),
+        (lambda rows: rows.pop(), "iteration 2 count"),
+    ],
+    ids=["drop_kills", "swap_last_purchase", "flip_label", "append_last", "drop_last"],
+)
+def test_audit_names_divergence_in_process(tmp_path, capsys, tamper, divergence):
+    inst_path, rows = _write_run(tmp_path, FOUR_NODE)
+    tamper(rows)
+    lines = [json.dumps(r) for r in rows]
+    assert _audit_in_process(inst_path, tmp_path / "t.jsonl", lines) == 2
+    out = capsys.readouterr().out
+    assert "payments_consistent false" in out
+    assert f"\ndivergence {divergence}\n" in out
+
+
+OTHER_TYPES = ("2", 2, 2.5, None, True, [], {})
+
+
+def _leaves(value, path=()):
+    """Paths to every value inside a JSON row, containers included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, path + (index,))
+
+
+def _set(row, path, value):
+    for step in path[:-1]:
+        row = row[step]
+    row[path[-1]] = value
+
+
+def _get(row, path):
+    for step in path:
+        row = row[step]
+    return row
+
+
+def _mutate(rng: random.Random, rows: list[dict], arc_count: int) -> list[str]:
+    rows = json.loads(json.dumps(rows))
+    kind = rng.choice(("delete", "retype", "arc", "truncate"))
+    target = rng.randrange(len(rows))
+    row = rows[target]
+    if kind == "delete":
+        del row[rng.choice(sorted(row))]
+    elif kind == "retype":
+        path = rng.choice([p for p in _leaves(row) if p])
+        old = _get(row, path)
+        _set(row, path, rng.choice([v for v in OTHER_TYPES if type(v) is not type(old)]))
+    elif kind == "arc":
+        row = rng.choice(rows[1:])
+        bad = rng.choice((arc_count, arc_count + rng.randrange(1, 50), -rng.randrange(1, 5)))
+        if row["payments"] and rng.random() < 0.5:
+            rng.choice(row["payments"])[0] = bad
+        else:
+            row["purchase"][0] = bad
+    lines = [json.dumps(r, sort_keys=True) for r in rows]
+    if kind == "truncate":
+        lines[target] = lines[target][: rng.randrange(len(lines[target]))]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "inst_text",
+    [FOUR_NODE, serialize_instance(gen_bad_example(4, Fraction(1, 10)))],
+    ids=["four_node", "bad_example_4"],
+)
+def test_audit_mutation_fuzz_never_raises(tmp_path, capsys, inst_text):
+    rng = random.Random(2024)
+    inst_path, rows = _write_run(tmp_path, inst_text)
+    arc_count = len(parse_instance(inst_text).arcs)
+    for trial in range(60):
+        lines = _mutate(rng, rows, arc_count)
+        code = _audit_in_process(inst_path, tmp_path / "t.jsonl", lines)
+        captured = capsys.readouterr()
+        assert code in (1, 2), (trial, lines)
+        if code == 1:
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1

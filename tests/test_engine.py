@@ -1,24 +1,22 @@
 import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from qbdst.engine import (
-    BucketState,
-    EngineError,
     InvariantBreach,
+    Payment,
     alive_report,
-    compute_epsilon,
-    grow_phase,
     read_trace,
     reverse_delete,
     solve,
     solve_standard_baseline,
     write_trace,
 )
-from qbdst.instance import Arc, Instance, InvalidInstanceError, is_feasible, parse_instance
-from qbdst.moats import EXPANSION, KILLER, active_moats, classify_arc, is_antenna_arc
+from qbdst.instance import InvalidInstanceError, is_feasible, parse_instance
+from qbdst.moats import ANTENNA, EXPANSION, KILLER, active_moats, classify_arc, is_antenna_arc
 from qbdst.gen import gen_bad_example, gen_grid
 
 from conftest import FOUR_NODE, SINGLE_ARC, random_valid_instance
@@ -27,49 +25,50 @@ EPS = Fraction(1, 100)
 
 
 def test_compute_epsilon_single_payer():
+    # One moat pays one bucket, so epsilon is the whole cost.
     inst = parse_instance(SINGLE_ARC)
-    moats = active_moats(inst, frozenset())
-    epsilon, tight = compute_epsilon(inst, frozenset(), moats, BucketState())
-    assert epsilon == 5
-    assert tight == [(0, KILLER)]
+    _, trace = solve(inst)
+    [rec] = trace.iterations
+    assert rec.payments == (Payment(0, KILLER, "2", Fraction(5)),)
+    assert (rec.epsilon, rec.purchased) == (5, (0, KILLER))
 
 
 def test_compute_epsilon_two_moats_split_one_bucket():
-    # Steiner node 4 is a shared tail of the moats around terminals 2 and 3,
-    # so the root arc into it is paid by both and fills at half speed.
+    # Steiner node 4 becomes a shared tail of the moats around terminals 2
+    # and 3 once the zero-cost antennas 4->2 and 4->3 are bought, so the
+    # root arc into it is paid by both and fills at half speed.
     inst = parse_instance(
         "NODES 4\nROOT 1\nTERMINALS 2 3\nARC 4 2 0\nARC 4 3 0\nARC 1 4 1\n"
         "ARC 1 2 9\nARC 1 3 9\nEND\n"
     )
-    purchased = frozenset([0, 1])
-    moats = active_moats(inst, purchased)
-    assert [set(m.vertices) for m in moats] == [{2, 4}, {3, 4}]
-    epsilon, tight = compute_epsilon(inst, purchased, moats, BucketState())
-    assert epsilon == Fraction(1, 2)
-    assert tight == [(2, KILLER)]
+    _, trace = solve(inst)
+    assert [r.epsilon for r in trace.iterations] == [0, 0, Fraction(1, 2)]
+    assert [r.purchased for r in trace.iterations[:2]] == [(0, ANTENNA), (1, ANTENNA)]
+    rec = trace.iterations[2]
+    assert rec.moats == ("2,4", "3,4")
+    half = Fraction(1, 2)
+    assert [p for p in rec.payments if p.arc == 2] == [
+        Payment(2, KILLER, "2,4", half),
+        Payment(2, KILLER, "3,4", half),
+    ]
+    assert rec.purchased == (2, KILLER)
 
 
 def test_compute_epsilon_partial_fill_and_tight_list():
+    # Iteration 1 of the 4-node run: a2's killer bucket already holds 1 from
+    # iteration 0, yet a4's empty expansion bucket is the only one to fill.
     inst = parse_instance(FOUR_NODE)
-    purchased = frozenset([2])
-    moats = active_moats(inst, purchased)
-    buckets = BucketState()
-    buckets.add(KILLER, 1, Fraction(1))
-    epsilon, tight = compute_epsilon(inst, purchased, moats, buckets)
-    assert epsilon == 1
-    assert tight == [(3, EXPANSION)]
-
-
-def test_compute_epsilon_stalled_growth():
-    inst = Instance(
-        node_count=2,
-        root=1,
-        terminals=frozenset([2]),
-        arcs=(Arc(2, 1, Fraction(1)),),
+    _, trace = solve(inst)
+    first, second = trace.iterations[:2]
+    assert Payment(1, KILLER, "3", Fraction(1)) in first.payments
+    assert second.epsilon == 1
+    assert second.payments == (
+        Payment(1, KILLER, "3", Fraction(1)),
+        Payment(3, EXPANSION, "3", Fraction(1)),
     )
-    moats = active_moats(inst, frozenset())
-    with pytest.raises(EngineError, match="stalled growth"):
-        compute_epsilon(inst, frozenset(), moats, BucketState())
+    assert second.purchased == (3, EXPANSION)
+    a2_killer = sum(p.amount for rec in (first, second) for p in rec.payments if p.arc == 1)
+    assert a2_killer == 2 < inst.arcs[1].cost
 
 
 def test_solve_single_arc():
@@ -315,3 +314,63 @@ def test_invariants_soak_random_instances():
             sol, trace = runner(inst)
             alive_report(trace)
             assert run_full(inst, trace, sol).all_ok
+
+
+def _four_node_rows():
+    _, trace = solve(parse_instance(FOUR_NODE))
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+def _drop_purchase(rows):
+    del rows[1]["purchase"]
+
+
+def _string_arc(rows):
+    rows[1]["purchase"][0] = "2"
+
+
+def _negative_arc(rows):
+    rows[2]["payments"][0][0] = -1
+
+
+def _unknown_mode(rows):
+    rows[0]["mode"] = "greedy"
+
+
+def _bool_index(rows):
+    rows[1]["l"] = True
+
+
+def _bad_epsilon(rows):
+    rows[1]["epsilon"] = "1/0"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_drop_purchase, "trace line 2: missing key 'purchase'"),
+        (_string_arc, "trace line 2: purchase must be"),
+        (_negative_arc, "trace line 3: payments must be"),
+        (_unknown_mode, "trace line 1: mode must be bucketed or standard"),
+        (_bool_index, "trace line 2: l must be an integer"),
+        (_bad_epsilon, "trace line 2: epsilon must be"),
+    ],
+)
+def test_read_trace_rejects_schema_errors(tamper, message):
+    rows = _four_node_rows()
+    tamper(rows)
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    with pytest.raises(ValueError) as info:
+        read_trace(io.StringIO(text))
+    assert str(info.value).startswith(message)
+    assert "\n" not in str(info.value)
+
+
+def test_read_trace_rejects_truncated_line():
+    rows = _four_node_rows()
+    lines = [json.dumps(row) for row in rows]
+    lines[2] = lines[2][:10]
+    with pytest.raises(ValueError, match="trace line 3: not JSON"):
+        read_trace(io.StringIO("\n".join(lines)))

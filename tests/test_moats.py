@@ -11,7 +11,6 @@ from qbdst.moats import (
     active_moats,
     classify_arc,
     enumerate_minimal_violated_brute,
-    scc_decompose,
 )
 
 from conftest import random_qb_instance
@@ -27,25 +26,24 @@ TWO_TERMINALS = _inst(
 
 
 def test_scc_two_cycle():
-    sccs = scc_decompose(TWO_TERMINALS, {0, 1})
-    assert [set(s.vertices) for s in sccs] == [{1}, {2, 3}]
-    assert sccs[0].contains_root
-    assert not sccs[1].contains_root
+    # The F-cycle 2<->3 is one core; the root's component is never a moat.
+    moats = active_moats(TWO_TERMINALS, {0, 1})
+    assert [(set(m.core), set(m.steiner_tails)) for m in moats] == [({2, 3}, set())]
 
 
 def test_scc_empty_f_gives_singletons_without_steiner():
     inst = _inst(
         "NODES 4\nROOT 1\nTERMINALS 2\nARC 1 2 1\nARC 3 2 1\nARC 4 2 1\nEND\n"
     )
-    sccs = scc_decompose(inst, set())
-    # root and terminal singletons only; Steiner nodes 3, 4 are skipped
-    assert [set(s.vertices) for s in sccs] == [{1}, {2}]
+    # terminal singletons only; Steiner nodes 3, 4 are in no moat
+    assert [set(m.vertices) for m in active_moats(inst, set())] == [{2}]
 
 
 def test_scc_steiner_terminal_cycle_counts():
+    # A Steiner node on an F-cycle with a terminal joins the core, not the tails.
     inst = _inst("NODES 3\nROOT 1\nTERMINALS 2\nARC 3 2 1\nARC 2 3 1\nARC 1 2 1\nEND\n")
-    sccs = scc_decompose(inst, {0, 1})
-    assert {2, 3} in [set(s.vertices) for s in sccs]
+    moats = active_moats(inst, {0, 1})
+    assert [(set(m.core), set(m.steiner_tails)) for m in moats] == [({2, 3}, set())]
 
 
 def test_active_moats_initially_singleton_terminals():
