@@ -164,13 +164,17 @@ def _bench_one(path_str: str) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_INVALID
     directory = Path(args.directory)
     if not directory.is_dir():
         print(f"error: {args.directory} is not a directory", file=sys.stderr)
         return EXIT_INVALID
     paths = sorted(str(p) for p in directory.iterdir() if p.is_file())
-    if args.jobs > 1 and len(paths) > 1:
-        with Pool(args.jobs) as pool:
+    jobs = min(args.jobs, len(paths))
+    if jobs > 1:
+        with Pool(jobs) as pool:
             records = pool.map(_bench_one, paths)
     else:
         records = [_bench_one(p) for p in paths]

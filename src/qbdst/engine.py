@@ -139,19 +139,14 @@ def _epsilon_from_payers(
 ) -> tuple[Fraction, list[tuple[int, str]]]:
     """Largest uniform growth that overfills no paid bucket, plus every
     bucket reaching capacity at that growth.  Epsilon may be 0."""
-    epsilon: Fraction | None = None
-    for (arc_id, kind), moat_keys in payers.items():
-        remaining = inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0)
-        candidate = remaining / len(moat_keys)
-        if epsilon is None or candidate < epsilon:
-            epsilon = candidate
-    assert epsilon is not None
-    tight = sorted(
-        (arc_id, kind)
+    # The growth that fills each bucket: its room shared among its payers.
+    fill_at = {
+        (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0))
+        / len(moat_keys)
         for (arc_id, kind), moat_keys in payers.items()
-        if inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0)
-        == epsilon * len(moat_keys)
-    )
+    }
+    epsilon = min(fill_at.values())
+    tight = sorted(bucket for bucket, growth in fill_at.items() if growth == epsilon)
     return epsilon, tight
 
 
@@ -361,8 +356,18 @@ def _arc(value) -> int:
     return value
 
 
-def _rational(value) -> Fraction:
-    return Fraction(_str(value))
+def _rationals():
+    """A parser of exact p/q strings that parses each distinct string once.
+    Make one per trace read, so the memo dies with the read."""
+    memo: dict[str, Fraction] = {}
+
+    def parse(value) -> Fraction:
+        found = memo.get(_str(value))
+        if found is None:
+            found = memo[value] = Fraction(value)
+        return found
+
+    return parse
 
 
 def _mode(value) -> str:
@@ -385,11 +390,6 @@ def _tuple_of(*items):
 
 
 _purchase = _tuple_of(_arc, _str)
-_payment_row = _tuple_of(_arc, _str, _str, _rational)
-
-
-def _payment(value) -> Payment:
-    return Payment(*_payment_row(value))
 
 
 class _Record:
@@ -435,10 +435,13 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         root=header.get("root", _int, "an integer"),
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
+    rational = _rationals()
+    payment_row = _tuple_of(_arc, _str, _str, rational)
+    payments = _list_of(lambda value: Payment(*payment_row(value)))
     for rec in records[1:]:
         if rec.row.get("record") != "iteration":
             raise ValueError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
-        epsilon = rec.get("epsilon", _rational, "an exact rational string")
+        epsilon = rec.get("epsilon", rational, "an exact rational string")
         moats = rec.get("moats", _list_of(_str), "a list of strings")
         trace.iterations.append(
             IterationRecord(
@@ -446,7 +449,7 @@ def read_trace(src: IO[str]) -> GrowthTrace:
                 epsilon=epsilon,
                 moats=moats,
                 payments=rec.get(
-                    "payments", _list_of(_payment), "a list of [arc id >= 0, kind, moat, p/q]"
+                    "payments", payments, "a list of [arc id >= 0, kind, moat, p/q]"
                 ),
                 purchased=rec.get("purchase", _purchase, "[arc id >= 0, label]"),
                 kills=rec.get("kills", _list_of(_int), "a list of integers"),

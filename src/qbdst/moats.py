@@ -8,6 +8,23 @@ plus the Steiner nodes that have an F-arc into that core, and the moat is
 active exactly when nothing in F enters core-plus-tails.  `active_moats`
 uses that closed form; `enumerate_minimal_violated_brute` is the
 independent subset-enumeration oracle guarding it.
+
+`classify_arc` screens each non-antenna arc u->v by reachability before
+it recomputes the moats of F + {u->v}.  When no F-path leads from the
+core C of any moat the arc enters to its tail u, the arc is a killer for
+every one of them:
+
+1. No F-path runs from C to u, so u->v closes no cycle through C, and the
+   SCC of C in F + {u->v} is still C.
+2. The instance is quasi-bipartite, so a non-antenna arc entering a moat
+   has a terminal or the root as its tail, never a Steiner node; the
+   Steiner tails of C, and so the candidate set C + tails, stay the same.
+3. u->v enters that unchanged candidate set, which is therefore no longer
+   active.  Every other active set of F + {u->v} has a different core,
+   disjoint from C, and its Steiner tails cannot hold C's terminal, so no
+   active set strictly contains C: the arc is a killer.
+
+Arcs the screen does not settle take the from-scratch recompute.
 """
 
 from __future__ import annotations
@@ -176,6 +193,26 @@ def enumerate_minimal_violated_brute(
     return result
 
 
+def _reaches(
+    inst: Instance, purchased: Iterable[int], sources: list[int], target: int
+) -> bool:
+    """Whether an F-path leads from some node of `sources` to `target`."""
+    succ: dict[int, list[int]] = {}
+    for i in purchased:
+        arc = inst.arcs[i]
+        succ.setdefault(arc.tail, []).append(arc.head)
+    seen = set(sources)
+    work = list(seen)
+    while work:
+        for w in succ.get(work.pop(), ()):
+            if w == target:
+                return True
+            if w not in seen:
+                seen.add(w)
+                work.append(w)
+    return target in seen
+
+
 def is_antenna_arc(inst: Instance, arc_id: int) -> bool:
     """Antenna arcs run from a Steiner node to a terminal and carry a
     single payment bucket."""
@@ -193,10 +230,13 @@ def classify_arc(
 
     Antenna arcs are antenna for the (at most one) moat their head lies in.
     A non-antenna arc entering moat A is an expansion arc when some active
-    set w.r.t. F + {arc} strictly contains A's core (recomputed from
-    scratch, per the brute-guarded closed form), else a killer arc.  Arcs
-    entering no moat yield an empty list; an arc never receives payment
-    from a moat that already contains its tail.
+    set w.r.t. F + {arc} strictly contains A's core, else a killer arc.
+    When no F-path leads from any entered moat's core to the arc's tail,
+    the arc is a killer for all of them (the reachability screen; the
+    module docstring gives its three-step proof).  Otherwise the moats of
+    F + {arc} are recomputed from scratch, per the brute-guarded closed
+    form.  Arcs entering no moat yield an empty list; an arc never
+    receives payment from a moat that already contains its tail.
     """
     arc = inst.arcs[arc_id]
     entered = [
@@ -206,6 +246,8 @@ def classify_arc(
         return []
     if is_antenna_arc(inst, arc_id):
         return [(m.key, ANTENNA) for m in entered]
+    if not _reaches(inst, purchased, [v for m in entered for v in m.core], arc.tail):
+        return [(m.key, KILLER) for m in entered]
     after = active_moats(inst, purchased | {arc_id})
     after_sets = [m.vertices for m in after]
     out = []

@@ -204,6 +204,54 @@ def test_bench_jobs_parallel(tmp_path):
     assert serial.stdout == parallel.stdout
 
 
+class _FakePool:
+    """Stands in for multiprocessing.Pool: records its worker count and
+    maps in this process, so the test starts no processes."""
+
+    workers: list[int] = []
+
+    def __init__(self, processes):
+        _FakePool.workers.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_bench_jobs_capped_at_file_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Pool", _FakePool)
+    monkeypatch.setattr(_FakePool, "workers", [])
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    for i in range(3):
+        (bench / f"inst{i}.txt").write_text(SINGLE_ARC, encoding="utf-8")
+    assert cli.main(["bench", str(bench), "--jobs", "64"]) == 0
+    assert "summary instances=3 errors=0" in capsys.readouterr().out
+    assert cli.main(["bench", str(bench), "--jobs", "2"]) == 0
+    assert _FakePool.workers == [3, 2]
+    (bench / "inst1.txt").unlink()
+    (bench / "inst2.txt").unlink()
+    assert cli.main(["bench", str(bench), "--jobs", "64"]) == 0
+    assert _FakePool.workers == [3, 2]  # one file: no pool at all
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "Pool", _FakePool)
+    monkeypatch.setattr(_FakePool, "workers", [])
+    (tmp_path / "a.txt").write_text(SINGLE_ARC, encoding="utf-8")
+    assert cli.main(["bench", str(tmp_path), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert _FakePool.workers == []
+
+
 def test_decimal_flag(single_arc_file):
     result = run_cli("solve", str(single_arc_file), "--decimal")
     assert "lower_bound 5/2 (~2.5)" in result.stdout

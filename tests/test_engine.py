@@ -15,6 +15,7 @@ from qbdst.engine import (
     solve_standard_baseline,
     write_trace,
 )
+from qbdst import moats as moats_module
 from qbdst.instance import InvalidInstanceError, is_feasible, parse_instance
 from qbdst.moats import ANTENNA, EXPANSION, KILLER, active_moats, classify_arc, is_antenna_arc
 from qbdst.gen import gen_bad_example, gen_grid
@@ -209,6 +210,28 @@ def test_trace_round_trip_and_determinism():
     assert loaded.instance_hash == trace_a.instance_hash
     assert loaded.iterations == trace_a.iterations
     assert loaded.duals == trace_a.duals
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_classify_recomputes_linear_on_bad_example(monkeypatch, k):
+    # The engine binds active_moats at import, so a counter on the moats
+    # module sees only classify_arc's nested recomputes.  The reachability
+    # screen leaves 2k-1 of them on this family; without it there are k^2+4k.
+    calls = 0
+
+    def counted(inst, purchased):
+        nonlocal calls
+        calls += 1
+        return active_moats(inst, purchased)
+
+    monkeypatch.setattr(moats_module, "active_moats", counted)
+    inst = gen_bad_example(k, EPS)
+    counts = []
+    for _ in range(2):
+        calls = 0
+        solve(inst)
+        counts.append(calls)
+    assert counts[0] == counts[1] <= 2 * k
 
 
 def _replay_bucket_fills(inst, trace):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qbdst import moats as moats_module
 from qbdst.instance import Arc, Instance, parse_instance
 from qbdst.moats import (
     ANTENNA,
@@ -189,3 +190,42 @@ def test_classify_is_pure():
         first = classify_arc(inst, purchased, moats, arc_id)
         second = classify_arc(inst, purchased, moats, arc_id)
         assert first == second
+
+
+def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
+    # The reachability screen settles most killers without recomputing the
+    # moats.  Every expansion or killer role, screened or recomputed, must
+    # match the brute answer: expansion iff a minimal violated set of
+    # F + {arc} strictly contains the entered moat's core.
+    recomputes = 0
+
+    def counted(inst, purchased):
+        nonlocal recomputes
+        recomputes += 1
+        return active_moats(inst, purchased)
+
+    monkeypatch.setattr(moats_module, "active_moats", counted)
+    rng = random.Random(20261018)
+    roles = {EXPANSION: 0, KILLER: 0}
+    classified = 0  # arcs with an expansion or killer role
+    for trial in range(1000):
+        inst = random_qb_instance(rng, max_nodes=10)
+        purchased = frozenset(i for i in range(len(inst.arcs)) if rng.random() < 0.4)
+        moats = active_moats(inst, purchased)
+        core_of = {m.key: m.core for m in moats}
+        for arc_id in range(len(inst.arcs)):
+            if arc_id in purchased:
+                continue
+            brute = None
+            for key, role in classify_arc(inst, purchased, moats, arc_id):
+                if role == ANTENNA:
+                    continue
+                if brute is None:
+                    brute = enumerate_minimal_violated_brute(inst, purchased | {arc_id})
+                    classified += 1
+                grows = any(core_of[key] < s for s in brute)
+                assert role == (EXPANSION if grows else KILLER), (trial, arc_id, key)
+                roles[role] += 1
+    assert roles[EXPANSION] and roles[KILLER]
+    # Both paths ran: some arcs were recomputed, and the screen settled others.
+    assert 0 < recomputes < classified
