@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .instance import FAMILY_MINOR_FREE, FAMILY_PLANAR_BIPARTITE, Instance
 from .engine import MODE_BUCKETED, GrowthTrace, Solution, grow
-from .moats import ANTENNA, KILLER, is_antenna_arc, str_to_key
+from .moats import ANTENNA, KILLER, is_antenna_arc
 
 # Not called here: the certify benchmark's tracer wraps these names on this
 # module (certbench/tracing.py TARGETS), so they stay attributes of it.
@@ -34,7 +34,7 @@ class IterationDelta:
 
     index: int
     moat_count: int
-    per_moat: dict[str, tuple[int, int, int]]  # key -> (ant, killer, exp)
+    per_moat: dict[str, tuple[int, int, int]]  # moat name -> (ant, killer, exp)
     killer_front: frozenset[int]  # final killer arcs paid here
     expansion_front: frozenset[int]  # final expansion arcs paid here
 
@@ -94,8 +94,7 @@ def verify_dual_feasibility(
     """Per-arc dual load (sum of y over sets the arc enters) and whether
     every load is at most 2c, with antenna arcs at most c."""
     loads = {arc_id: Fraction(0) for arc_id in range(len(inst.arcs))}
-    for key_str, y in trace.duals.items():
-        members = set(str_to_key(key_str))
+    for members, y in trace.duals.items():
         for arc_id, arc in enumerate(inst.arcs):
             if arc.head in members and arc.tail not in members:
                 loads[arc_id] += y
@@ -152,7 +151,7 @@ def verify_counting_lemmas(
     ok = True
     alpha_max: Fraction | None = None
     for rec in trace.iterations:
-        per_moat = {key: [0, 0, 0] for key in rec.moats}
+        per_moat = {name: [0, 0, 0] for name in rec.moats}
         killer_front: set[int] = set()
         expansion_front: set[int] = set()
         for p in rec.payments:

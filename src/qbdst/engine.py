@@ -27,7 +27,6 @@ from .moats import (
     active_moats,
     classify_arc,
     is_antenna_arc,
-    key_to_str,
 )
 
 MODE_BUCKETED = "bucketed"
@@ -44,10 +43,26 @@ class InvariantBreach(RuntimeError):
     """A run violated the alive-terminal bookkeeping; signals an engine bug."""
 
 
+def _moat_name(vertices: frozenset[int]) -> str:
+    """A moat's name in trace records: its node ids, ascending, joined by
+    commas.  No other code makes a name."""
+    return ",".join(map(str, sorted(vertices)))
+
+
+def _moat_vertices(name: str) -> frozenset[int]:
+    """The vertex set a moat name denotes.  No other code parses a name.
+    Raises ValueError unless `name` is exactly what `_moat_name` makes of a
+    nonempty set of node ids >= 1."""
+    vertices = frozenset(map(int, name.split(",")))
+    if min(vertices) < 1 or _moat_name(vertices) != name:
+        raise ValueError(f"malformed moat name {name!r}")
+    return vertices
+
+
 class Payment(NamedTuple):
     arc: int
     kind: str
-    moat: str
+    moat: str  # the paying moat's name
     amount: Fraction
 
 
@@ -55,10 +70,15 @@ class Payment(NamedTuple):
 class IterationRecord:
     index: int
     epsilon: Fraction
-    moats: tuple[str, ...]
+    moats: tuple[str, ...]  # names of the active moats, in `active_moats` order
     payments: tuple[Payment, ...]
     purchased: tuple[int, str]
     kills: tuple[int, ...]
+
+    @property
+    def moat_sets(self) -> tuple[frozenset[int], ...]:
+        """The vertex sets of `moats`, in the same order."""
+        return tuple(map(_moat_vertices, self.moats))
 
 
 @dataclass
@@ -71,7 +91,17 @@ class GrowthTrace:
     root: int
     terminals: frozenset[int]
     iterations: list[IterationRecord] = field(default_factory=list)
-    duals: dict[str, Fraction] = field(default_factory=dict)
+
+    @property
+    def duals(self) -> dict[frozenset[int], Fraction]:
+        """Each moat's dual y, keyed by its vertex set: the sum of the
+        epsilons of the iterations it was active in."""
+        duals: dict[frozenset[int], Fraction] = {}
+        for rec in self.iterations:
+            if rec.epsilon:
+                for vertices in rec.moat_sets:
+                    duals[vertices] = duals.get(vertices, Fraction(0)) + rec.epsilon
+        return duals
 
     def purchases(self) -> list[int]:
         return [rec.purchased[0] for rec in self.iterations]
@@ -99,7 +129,7 @@ def _payer_map(
     purchased: frozenset[int],
     moats: list[Moat],
     bucketed: bool,
-) -> dict[tuple[int, str], list[str]]:
+) -> dict[tuple[int, str], list[Moat]]:
     """Which moats pay which bucket this iteration.
 
     Only arcs outside F whose head is in a moat and whose tail is not get
@@ -111,7 +141,7 @@ def _payer_map(
         for v in moat.vertices:
             head_moats.setdefault(v, []).append(moat)
 
-    payers: dict[tuple[int, str], list[str]] = {}
+    payers: dict[tuple[int, str], list[Moat]] = {}
     for arc_id in range(len(inst.arcs)):
         if arc_id in purchased:
             continue
@@ -119,31 +149,27 @@ def _payer_map(
         if arc.head not in head_moats:
             continue
         if not bucketed:
-            keys = [
-                m.key_str
-                for m in head_moats[arc.head]
-                if arc.tail not in m.vertices
-            ]
-            if keys:
-                payers[(arc_id, MODE_STANDARD)] = keys
+            entered = [m for m in head_moats[arc.head] if arc.tail not in m.vertices]
+            if entered:
+                payers[(arc_id, MODE_STANDARD)] = entered
             continue
-        for key, role in classify_arc(inst, purchased, head_moats[arc.head], arc_id):
-            payers.setdefault((arc_id, role), []).append(key_to_str(key))
+        for moat, role in classify_arc(inst, purchased, head_moats[arc.head], arc_id):
+            payers.setdefault((arc_id, role), []).append(moat)
     return payers
 
 
 def _epsilon_from_payers(
     inst: Instance,
     fills: dict[tuple[str, int], Fraction],
-    payers: dict[tuple[int, str], list[str]],
+    payers: dict[tuple[int, str], list[Moat]],
 ) -> tuple[Fraction, list[tuple[int, str]]]:
     """Largest uniform growth that overfills no paid bucket, plus every
     bucket reaching capacity at that growth.  Epsilon may be 0."""
     # The growth that fills each bucket: its room shared among its payers.
     fill_at = {
         (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0))
-        / len(moat_keys)
-        for (arc_id, kind), moat_keys in payers.items()
+        / len(paying)
+        for (arc_id, kind), paying in payers.items()
     }
     epsilon = min(fill_at.values())
     tight = sorted(bucket for bucket, growth in fill_at.items() if growth == epsilon)
@@ -182,25 +208,30 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 "(unreachable terminal escaped validation)"
             )
         epsilon, tight = _epsilon_from_payers(inst, fills, payers)
+        names = {m: _moat_name(m.vertices) for m in moats}
 
         payments = []
-        for (arc_id, kind), moat_keys in sorted(payers.items()):
+        for (arc_id, kind), paying in sorted(payers.items()):
             if epsilon:
                 fills[(kind, arc_id)] = (
-                    fills.get((kind, arc_id), Fraction(0)) + epsilon * len(moat_keys)
+                    fills.get((kind, arc_id), Fraction(0)) + epsilon * len(paying)
                 )
-            for key in sorted(moat_keys):
-                payments.append(Payment(arc_id, kind, key, epsilon))
-        if epsilon:
-            for moat in moats:
-                key = moat.key_str
-                trace.duals[key] = trace.duals.get(key, Fraction(0)) + epsilon
+            # Payers go in name order as text ("10,11" before "9,11"), not
+            # in vertex order: that is the order traces are written in.
+            for name in sorted(names[m] for m in paying):
+                payments.append(Payment(arc_id, kind, name, epsilon))
 
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
         purchased_set.add(buy)
         new_moats = active_moats(inst, frozenset(purchased_set))
         new_sets = [m.vertices for m in new_moats]
+
+        # A moat dies exactly when its core is inside no active set anymore;
+        # its unique alive terminal dies with it.
+        survivors = {m for m in moats if any(m.core <= s for s in new_sets)}
+        kills = [t for m in moats if m not in survivors for t in sorted(m.core & alive)]
+        alive.difference_update(kills)
 
         if bucketed:
             # Def-4.2 labeling: the bucket that filled now; both full -> expansion.
@@ -210,35 +241,20 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 label = EXPANSION
             else:
                 label = KILLER
+        elif is_antenna_arc(inst, buy):
+            label = ANTENNA
         else:
-            if is_antenna_arc(inst, buy):
-                label = ANTENNA
-            else:
-                arc = inst.arcs[buy]
-                entered = [
-                    m
-                    for m in moats
-                    if arc.head in m.vertices and arc.tail not in m.vertices
-                ]
-                grows = any(
-                    any(m.core < s for s in new_sets) for m in entered
-                )
-                label = EXPANSION if grows else KILLER
-
-        # A moat dies exactly when its core is inside no active set anymore;
-        # its unique alive terminal dies with it.
-        kills = []
-        for moat in moats:
-            if not any(moat.core <= s for s in new_sets):
-                for t in sorted(moat.core & alive):
-                    kills.append(t)
-        alive.difference_update(kills)
+            # An entered core lies in a new active set only strictly: the tail
+            # is a terminal or the root, so an unmerged core keeps its tails and
+            # the arc enters that set.  So: expansion iff an entered moat survives.
+            grows = any(m in survivors for m in payers[(buy, MODE_STANDARD)])
+            label = EXPANSION if grows else KILLER
 
         trace.iterations.append(
             IterationRecord(
                 index=index,
                 epsilon=epsilon,
-                moats=tuple(m.key_str for m in moats),
+                moats=tuple(names.values()),
                 payments=tuple(payments),
                 purchased=(buy, label),
                 kills=tuple(kills),
@@ -294,12 +310,11 @@ def alive_report(trace: GrowthTrace) -> dict[int, dict[int, bool]]:
                 f"iteration {rec.index}: {len(alive)} alive terminals "
                 f"but {len(rec.moats)} active moats"
             )
-        for key in rec.moats:
-            members = {int(tok) for tok in key.split(",")}
-            holders = members & alive
+        for name, vertices in zip(rec.moats, rec.moat_sets):
+            holders = vertices & alive
             if len(holders) != 1:
                 raise InvariantBreach(
-                    f"iteration {rec.index}: moat {key} holds "
+                    f"iteration {rec.index}: moat {name} holds "
                     f"{len(holders)} alive terminals"
                 )
         report[rec.index] = {t: t in alive for t in sorted(trace.terminals)}
@@ -356,18 +371,18 @@ def _arc(value) -> int:
     return value
 
 
-def _rationals():
-    """A parser of exact p/q strings that parses each distinct string once.
-    Make one per trace read, so the memo dies with the read."""
-    memo: dict[str, Fraction] = {}
+def _memoized(parse):
+    """`parse` for strings, run once per distinct string.  Make one per
+    trace read, so the memo dies with the read."""
+    memo: dict = {}
 
-    def parse(value) -> Fraction:
+    def cached(value):
         found = memo.get(_str(value))
         if found is None:
-            found = memo[value] = Fraction(value)
+            found = memo[value] = parse(value)
         return found
 
-    return parse
+    return cached
 
 
 def _mode(value) -> str:
@@ -416,8 +431,8 @@ class _Record:
 
 def read_trace(src: IO[str]) -> GrowthTrace:
     """Parse a trace file, checking its schema: key presence, value types,
-    arc ids >= 0 and a known mode.  Arc ids beyond the instance are the
-    caller's to reject, since the trace does not know the instance."""
+    arc ids >= 0, moat names and a known mode.  Arc ids beyond the instance
+    are the caller's to reject, since the trace does not know the instance."""
     records = [
         _Record(number, line)
         for number, line in enumerate(src.read().splitlines(), 1)
@@ -435,27 +450,24 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         root=header.get("root", _int, "an integer"),
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
-    rational = _rationals()
-    payment_row = _tuple_of(_arc, _str, _str, rational)
+    rational = _memoized(Fraction)
+    # A well-formed name is its own canonical form, so this returns it unchanged.
+    name = _memoized(lambda value: _moat_name(_moat_vertices(value)))
+    payment_row = _tuple_of(_arc, _str, name, rational)
     payments = _list_of(lambda value: Payment(*payment_row(value)))
     for rec in records[1:]:
         if rec.row.get("record") != "iteration":
             raise ValueError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
-        epsilon = rec.get("epsilon", rational, "an exact rational string")
-        moats = rec.get("moats", _list_of(_str), "a list of strings")
         trace.iterations.append(
             IterationRecord(
                 index=rec.get("l", _int, "an integer"),
-                epsilon=epsilon,
-                moats=moats,
+                epsilon=rec.get("epsilon", rational, "an exact rational string"),
+                moats=rec.get("moats", _list_of(name), "a list of moat names like 2,3"),
                 payments=rec.get(
-                    "payments", payments, "a list of [arc id >= 0, kind, moat, p/q]"
+                    "payments", payments, "a list of [arc id >= 0, kind, moat name, p/q]"
                 ),
                 purchased=rec.get("purchase", _purchase, "[arc id >= 0, label]"),
                 kills=rec.get("kills", _list_of(_int), "a list of integers"),
             )
         )
-        if epsilon:
-            for key in moats:
-                trace.duals[key] = trace.duals.get(key, Fraction(0)) + epsilon
     return trace

@@ -44,7 +44,8 @@ BRUTE_NODE_LIMIT = 16
 
 @dataclass(frozen=True)
 class Moat:
-    """An active moat: SCC core plus attached Steiner tails."""
+    """An active moat: SCC core plus attached Steiner tails.  `vertices`
+    is its identity; its text name exists only in trace records."""
 
     core: frozenset[int]
     steiner_tails: frozenset[int]
@@ -52,22 +53,6 @@ class Moat:
     @cached_property
     def vertices(self) -> frozenset[int]:
         return self.core | self.steiner_tails
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices))
-
-    @property
-    def key_str(self) -> str:
-        return ",".join(map(str, self.key))
-
-
-def key_to_str(key: tuple[int, ...]) -> str:
-    return ",".join(map(str, key))
-
-
-def str_to_key(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",")) if text else ()
 
 
 def _components(node_count: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -123,7 +108,7 @@ def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:
 
     For each non-root SCC core C, form A = C plus every Steiner node with a
     purchased arc into C; A is a moat iff no purchased arc enters A.
-    Ordered by moat key.
+    Ordered ascending by the sorted vertex list.
     """
     ids = list(purchased)
     farcs = [inst.arcs[i] for i in ids]
@@ -156,7 +141,7 @@ def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:
         if any(a.head in cand and a.tail not in cand for a in farcs):
             continue
         moats.append(Moat(core=cores[idx], steiner_tails=frozenset(cand - cores[idx])))
-    moats.sort(key=lambda m: m.key)
+    moats.sort(key=lambda m: sorted(m.vertices))
     return moats
 
 
@@ -225,7 +210,7 @@ def classify_arc(
     purchased: frozenset[int],
     moats: list[Moat],
     arc_id: int,
-) -> list[tuple[tuple[int, ...], str]]:
+) -> list[tuple[Moat, str]]:
     """Role of an unpurchased arc w.r.t. each active moat it enters.
 
     Antenna arcs are antenna for the (at most one) moat their head lies in.
@@ -245,13 +230,13 @@ def classify_arc(
     if not entered:
         return []
     if is_antenna_arc(inst, arc_id):
-        return [(m.key, ANTENNA) for m in entered]
+        return [(m, ANTENNA) for m in entered]
     if not _reaches(inst, purchased, [v for m in entered for v in m.core], arc.tail):
-        return [(m.key, KILLER) for m in entered]
+        return [(m, KILLER) for m in entered]
     after = active_moats(inst, purchased | {arc_id})
     after_sets = [m.vertices for m in after]
     out = []
     for m in entered:
         grows = any(m.core < s for s in after_sets)
-        out.append((m.key, EXPANSION if grows else KILLER))
+        out.append((m, EXPANSION if grows else KILLER))
     return out

@@ -286,6 +286,23 @@ def test_audit_rejects_arc_ids_beyond_instance(tmp_path, capsys, row, key, value
     assert "the instance has 4 arcs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, key, value, message",
+    [
+        (1, "moats", ["x", "3"], "trace line 2: moats must be"),
+        (2, "payments", [[1, "killer", "3,", "1/1"]], "trace line 3: payments must be"),
+    ],
+)
+def test_audit_rejects_malformed_moat_names(tmp_path, capsys, row, key, value, message):
+    inst_path, rows = _write_run(tmp_path, FOUR_NODE)
+    rows[row][key] = value
+    lines = [json.dumps(r) for r in rows]
+    assert _audit_in_process(inst_path, tmp_path / "t.jsonl", lines) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 def test_audit_validates_instance(tmp_path, capsys):
     # Terminal 3 is unreachable; the header carries this instance's hash.
     text = "NODES 3\nROOT 1\nTERMINALS 2 3\nARC 1 2 1\nEND\n"

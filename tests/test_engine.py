@@ -15,7 +15,9 @@ from qbdst.engine import (
     solve_standard_baseline,
     write_trace,
 )
+from qbdst import engine as engine_module
 from qbdst import moats as moats_module
+from qbdst.audit import run_full
 from qbdst.instance import InvalidInstanceError, is_feasible, parse_instance
 from qbdst.moats import ANTENNA, EXPANSION, KILLER, active_moats, classify_arc, is_antenna_arc
 from qbdst.gen import gen_bad_example, gen_grid
@@ -53,6 +55,33 @@ def test_compute_epsilon_two_moats_split_one_bucket():
         Payment(2, KILLER, "3,4", half),
     ]
     assert rec.purchased == (2, KILLER)
+
+
+def test_payers_written_in_name_order():
+    # The same split bucket with terminals 9 and 10 and shared tail 11.  The
+    # moats are listed by vertex order, ("9,11", "10,11"), but each bucket's
+    # payers by name order as text, "10,11" before "9,11", as traces have
+    # always been written.
+    inst = parse_instance(
+        "NODES 11\nROOT 1\nTERMINALS 9 10\nARC 11 9 0\nARC 11 10 0\nARC 1 11 1\n"
+        "ARC 1 9 9\nARC 1 10 9\nEND\n"
+    )
+    sol, trace = solve(inst)
+    rec = trace.iterations[2]
+    assert rec.moats == ("9,11", "10,11")
+    half = Fraction(1, 2)
+    assert [p for p in rec.payments if p.arc == 2] == [
+        Payment(2, KILLER, "10,11", half),
+        Payment(2, KILLER, "9,11", half),
+    ]
+    # A trace whose payments follow the text-order rule audits clean.
+    rows = [json.loads(line) for line in _trace_text(trace).splitlines()]
+    for row in rows[1:]:
+        row["payments"].sort(key=lambda p: (p[0], p[1], p[2]))
+    recorded = read_trace(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)))
+    report = run_full(inst, recorded, sol)
+    assert report.divergence is None
+    assert report.all_ok
 
 
 def test_compute_epsilon_partial_fill_and_tight_list():
@@ -234,6 +263,56 @@ def test_classify_recomputes_linear_on_bad_example(monkeypatch, k):
     assert counts[0] == counts[1] <= 2 * k
 
 
+def test_standard_labels_match_strongest_classify_role():
+    # The baseline labels a purchase by the kill test.  The oracle is the
+    # classification rule it replaced: the strongest classify_arc role of the
+    # bought arc against the moats before the purchase.
+    rng = random.Random(34)
+    instances = [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(120)]
+    instances += [gen_bad_example(k, EPS) for k in (3, 6)]
+    instances += [gen_grid(4, 4, Fraction(1, 2), Fraction(4, 5), (1, 6), s) for s in (5, 6)]
+    seen = set()
+    for inst in instances:
+        _, trace = solve_standard_baseline(inst)
+        purchased = frozenset()
+        for rec in trace.iterations:
+            bought, label = rec.purchased
+            moats = active_moats(inst, purchased)
+            roles = {role for _, role in classify_arc(inst, purchased, moats, bought)}
+            assert roles
+            strongest = next(r for r in (ANTENNA, EXPANSION, KILLER) if r in roles)
+            assert label == strongest, (inst, rec.index)
+            seen.add(label)
+            purchased |= {bought}
+    assert seen == {ANTENNA, EXPANSION, KILLER}
+
+
+def test_standard_run_classifies_nothing(monkeypatch):
+    # The baseline's label comes from the kill test, so a standard run makes
+    # no classify_arc call and computes the moats once, then once per
+    # iteration.
+    calls = {"active_moats": 0, "classify_arc": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    for module in (engine_module, moats_module):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rng = random.Random(35)
+    instances = [gen_bad_example(8, EPS), parse_instance(FOUR_NODE)]
+    instances += [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(10)]
+    for inst in instances:
+        for name in calls:
+            calls[name] = 0
+        _, trace = solve_standard_baseline(inst)
+        assert calls == {"active_moats": len(trace.iterations) + 1, "classify_arc": 0}
+
+
 def _replay_bucket_fills(inst, trace):
     fills = {}
     for rec in trace.iterations:
@@ -295,13 +374,13 @@ def test_nonantenna_kills_match_killer_classification():
             bought, _ = rec.purchased
             if not is_antenna_arc(inst, bought):
                 killer_moats = [
-                    key
-                    for key, role in classify_arc(inst, frozen, moats, bought)
+                    moat
+                    for moat, role in classify_arc(inst, frozen, moats, bought)
                     if role == KILLER
                 ]
                 expected = set()
                 for moat in moats:
-                    if moat.key in killer_moats:
+                    if moat in killer_moats:
                         expected |= moat.core & alive
                 assert set(rec.kills) == expected
             purchased.add(bought)
@@ -328,8 +407,6 @@ def test_no_terminals_yields_empty_solution():
 
 
 def test_invariants_soak_random_instances():
-    from qbdst.audit import run_full
-
     rng = random.Random(33)
     for _ in range(25):
         inst = random_valid_instance(rng, max_nodes=8, max_arcs=30)
@@ -339,11 +416,15 @@ def test_invariants_soak_random_instances():
             assert run_full(inst, trace, sol).all_ok
 
 
-def _four_node_rows():
-    _, trace = solve(parse_instance(FOUR_NODE))
+def _trace_text(trace):
     buf = io.StringIO()
     write_trace(trace, buf)
-    return [json.loads(line) for line in buf.getvalue().splitlines()]
+    return buf.getvalue()
+
+
+def _four_node_rows():
+    _, trace = solve(parse_instance(FOUR_NODE))
+    return [json.loads(line) for line in _trace_text(trace).splitlines()]
 
 
 def _drop_purchase(rows):
@@ -370,6 +451,18 @@ def _bad_epsilon(rows):
     rows[1]["epsilon"] = "1/0"
 
 
+def _word_moat(rows):
+    rows[1]["moats"][0] = "x"
+
+
+def _unsorted_moat(rows):
+    rows[3]["moats"][0] = "3,2"
+
+
+def _empty_payment_moat(rows):
+    rows[2]["payments"][0][2] = ""
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -379,6 +472,9 @@ def _bad_epsilon(rows):
         (_unknown_mode, "trace line 1: mode must be bucketed or standard"),
         (_bool_index, "trace line 2: l must be an integer"),
         (_bad_epsilon, "trace line 2: epsilon must be"),
+        (_word_moat, "trace line 2: moats must be a list of moat names"),
+        (_unsorted_moat, "trace line 4: moats must be a list of moat names"),
+        (_empty_payment_moat, "trace line 3: payments must be"),
     ],
 )
 def test_read_trace_rejects_schema_errors(tamper, message):

@@ -94,16 +94,21 @@ def test_brute_size_guard():
         enumerate_minimal_violated_brute(inst, set())
 
 
+def _roles(inst, purchased, moats, arc_id):
+    # classify_arc's (moat, role) pairs, each moat given by its vertex set.
+    return [(m.vertices, role) for m, role in classify_arc(inst, purchased, moats, arc_id)]
+
+
 def test_classify_antenna():
     inst = _inst("NODES 3\nROOT 1\nTERMINALS 2\nARC 3 2 1\nARC 1 2 1\nEND\n")
     moats = active_moats(inst, frozenset())
-    assert classify_arc(inst, frozenset(), moats, 0) == [((2,), ANTENNA)]
+    assert _roles(inst, frozenset(), moats, 0) == [({2}, ANTENNA)]
 
 
 def test_classify_root_arc_killer():
     inst = _inst("NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 1\nEND\n")
     moats = active_moats(inst, frozenset())
-    assert classify_arc(inst, frozenset(), moats, 0) == [((2,), KILLER)]
+    assert _roles(inst, frozenset(), moats, 0) == [({2}, KILLER)]
 
 
 def test_classify_expansion_via_back_arc():
@@ -112,8 +117,8 @@ def test_classify_expansion_via_back_arc():
     purchased = frozenset([0])
     moats = active_moats(inst, purchased)
     assert [set(m.vertices) for m in moats] == [{2}]
-    result = classify_arc(inst, purchased, moats, 1)
-    assert result == [((2,), EXPANSION)]
+    result = _roles(inst, purchased, moats, 1)
+    assert result == [({2}, EXPANSION)]
     # cross-check with the brute enumerator: the merged set is minimal violated
     merged = enumerate_minimal_violated_brute(inst, purchased | {1})
     assert frozenset([2, 3]) in merged
@@ -122,8 +127,8 @@ def test_classify_expansion_via_back_arc():
 def test_classify_terminal_arc_killer_when_no_merge():
     inst = _inst("NODES 3\nROOT 1\nTERMINALS 2 3\nARC 2 3 1\nARC 1 2 1\nEND\n")
     moats = active_moats(inst, frozenset())
-    pairs = dict(classify_arc(inst, frozenset(), moats, 0))
-    assert pairs[(3,)] == KILLER
+    pairs = dict(_roles(inst, frozenset(), moats, 0))
+    assert pairs[frozenset([3])] == KILLER
     # {t1,t2} is violated w.r.t. F+{arc} but not minimal, so no merge
     assert frozenset([2, 3]) not in enumerate_minimal_violated_brute(inst, {0})
 
@@ -212,19 +217,19 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
         inst = random_qb_instance(rng, max_nodes=10)
         purchased = frozenset(i for i in range(len(inst.arcs)) if rng.random() < 0.4)
         moats = active_moats(inst, purchased)
-        core_of = {m.key: m.core for m in moats}
         for arc_id in range(len(inst.arcs)):
             if arc_id in purchased:
                 continue
             brute = None
-            for key, role in classify_arc(inst, purchased, moats, arc_id):
+            for moat, role in classify_arc(inst, purchased, moats, arc_id):
+                assert moat in moats, (trial, arc_id, moat)
                 if role == ANTENNA:
                     continue
                 if brute is None:
                     brute = enumerate_minimal_violated_brute(inst, purchased | {arc_id})
                     classified += 1
-                grows = any(core_of[key] < s for s in brute)
-                assert role == (EXPANSION if grows else KILLER), (trial, arc_id, key)
+                grows = any(moat.core < s for s in brute)
+                assert role == (EXPANSION if grows else KILLER), (trial, arc_id, moat)
                 roles[role] += 1
     assert roles[EXPANSION] and roles[KILLER]
     # Both paths ran: some arcs were recomputed, and the screen settled others.
