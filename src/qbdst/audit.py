@@ -5,8 +5,9 @@ bounds on antenna/killer/expansion arcs.
 `run_full` trusts nothing recorded: it regrows the run from the instance
 with the engine's own loop (`engine.grow`) and compares the regrown trace
 with the recorded one field by field, naming the first divergence.  The
-three `verify_*` checks are plain arithmetic over whatever trace they are
-given (its payments and duals); `run_full` gives them the regrown one.
+three `verify_*` checks are plain arithmetic over whatever trace and
+solution they are given (its payments and duals); `run_full` gives them
+the regrown trace and its reverse-deleted solution, the one it certifies.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .instance import FAMILY_MINOR_FREE, FAMILY_PLANAR_BIPARTITE, Instance
-from .engine import MODE_BUCKETED, GrowthTrace, Solution, grow
+from .engine import MODE_BUCKETED, GrowthTrace, Solution, grow, reverse_delete
 from .moats import ANTENNA, KILLER, is_antenna_arc
 
 # Not called here: the certify benchmark's tracer wraps these names on this
@@ -55,8 +56,10 @@ class AuditReport:
     ratio_vs_opt: Fraction | None = None
     breaches: list[str] = field(default_factory=list)
     # First (iteration, field) where the regrown run differs from the
-    # recorded one; iteration is None for a header field.
+    # recorded one; iteration is None for a header field and for SOLUTION.
     divergence: tuple[int | None, str] | None = None
+    # The certified solution: reverse delete of the regrown trace.
+    solution: Solution | None = None
 
     @property
     def all_ok(self) -> bool:
@@ -81,8 +84,11 @@ class AuditReport:
         ]
         if self.divergence is not None:
             index, name = self.divergence
-            where = "header" if index is None else f"iteration {index}"
-            lines.append(f"divergence {where} {name}")
+            if index is not None:
+                name = f"iteration {index} {name}"
+            elif name != SOLUTION:
+                name = f"header {name}"
+            lines.append(f"divergence {name}")
         for breach in self.breaches:
             lines.append(f"breach {breach}")
         return "\n".join(lines) + "\n"
@@ -220,6 +226,8 @@ def ratio_report(
 
 HEADER_FIELDS = ("instance_hash", "node_count", "root", "terminals")
 ITERATION_FIELDS = ("index", "moats", "epsilon", "payments", "purchased", "kills")
+# The divergence of a claimed solution from the certified one.
+SOLUTION = "solution"
 
 
 def _first_divergence(
@@ -244,23 +252,29 @@ def _first_divergence(
 def run_full(
     inst: Instance,
     trace: GrowthTrace,
-    sol: Solution,
+    sol: Solution | None = None,
     opt: Fraction | None = None,
 ) -> AuditReport:
     """All audit checks on one run.  The run is regrown from the instance in
-    the recorded mode; `payments_consistent` is false exactly when the
-    regrown trace differs from the recorded one, and `divergence` names
-    the first differing (iteration, field).  The certificate checks then
-    run on the regrown trace."""
-    report = ratio_report(inst, sol, opt)
+    the recorded mode and reverse-deleted; that solution is the one
+    certified and is returned as `solution`.  `payments_consistent` is
+    false exactly when the regrown run differs from the recorded one, and
+    `divergence` names the first difference: an (iteration, field) of the
+    traces, else SOLUTION when a claimed `sol` is not the certified one.
+    The ratios and certificate checks run on the regrown run."""
     regrown = grow(inst, trace.mode)
+    certified = reverse_delete(inst, regrown)
+    report = ratio_report(inst, certified, opt)
+    report.solution = certified
     report.divergence = _first_divergence(trace, regrown)
+    if report.divergence is None and sol is not None and sol != certified:
+        report.divergence = (None, SOLUTION)
     report.payments_consistent = report.divergence is None
 
-    report.cost_identity_ok, _ = verify_cost_identity(inst, regrown, sol)
+    report.cost_identity_ok, _ = verify_cost_identity(inst, regrown, certified)
     _, report.dual_feasible_ok = verify_dual_feasibility(inst, regrown)
     if regrown.mode == MODE_BUCKETED:
-        lemmas_ok, deltas, alpha_max = verify_counting_lemmas(inst, regrown, sol)
+        lemmas_ok, deltas, alpha_max = verify_counting_lemmas(inst, regrown, certified)
         report.lemmas_ok = lemmas_ok
         report.deltas = deltas
         report.alpha_max = alpha_max

@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 bad input or validation failure, 2 audit or
 ratio breach, 3 oracle size guard exceeded.  All rationals print exactly;
 --decimal appends approximate values clearly marked with '~'.
+
+`main` alone turns a failure into an exit code.  A usage error and every
+input error (any ValueError or OSError: a parse, schema or validation
+error, a generator argument, an unreadable or undecodable file) print one
+`error:` line and exit 1; the oracle's size guard exits 3.  Any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -18,11 +24,10 @@ from . import audit as audit_mod
 from . import engine, gen, oracle
 from .instance import (
     Instance,
-    InvalidInstanceError,
-    ParseError,
     instance_hash,
     normalize_parallel,
     parse_instance,
+    parse_rational,
     serialize_instance,
     validate,
 )
@@ -31,6 +36,10 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BREACH = 2
 EXIT_GUARD = 3
+
+# The input errors: what `main` reports as one line with EXIT_INVALID, and
+# what `bench` records per file.
+INPUT_ERRORS = (ValueError, OSError)
 
 
 def _fmt(value, decimal: bool) -> str:
@@ -57,11 +66,7 @@ def _report_invalid(inst: Instance) -> bool:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    try:
-        inst = _load_instance(args.instance)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    inst = _load_instance(args.instance)
     if _report_invalid(inst):
         return EXIT_INVALID
 
@@ -69,21 +74,12 @@ def cmd_solve(args) -> int:
         sol, trace = engine.solve_standard_baseline(inst)
     else:
         sol, trace = engine.solve(inst)
-
-    opt = None
-    if args.oracle:
-        try:
-            opt = oracle.exact_opt_dp(inst).opt_cost
-        except oracle.OracleGuardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GUARD
-
-    status = EXIT_OK
-    report = None
-    if args.audit:
-        report = audit_mod.run_full(inst, trace, sol, opt)
-        if not report.all_ok:
-            status = EXIT_BREACH
+    opt = oracle.exact_opt_dp(inst).opt_cost if args.oracle else None
+    report = audit_mod.run_full(inst, trace, sol, opt) if args.audit else None
+    # Before any output, so a failed write leaves stdout empty.
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            engine.write_trace(trace, handle)
 
     ratio_vs_lb = sol.total_cost / sol.lower_bound if sol.lower_bound else None
     print(f"instance {trace.instance_hash}")
@@ -106,34 +102,25 @@ def cmd_solve(args) -> int:
         print(f"ratio_vs_opt {_fmt(ratio_vs_opt, args.decimal)}")
     if report is not None:
         sys.stdout.write(report.render())
-
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            engine.write_trace(trace, handle)
-
     print(f"wall_time_s {time.perf_counter() - started:.3f}")
-    return status
+    return EXIT_BREACH if report is not None and not report.all_ok else EXIT_OK
 
 
 def cmd_gen(args) -> int:
     if args.generator == "badexample":
-        inst = gen.gen_bad_example(args.k, Fraction(args.eps))
+        inst = gen.gen_bad_example(args.k, parse_rational(args.eps, "--eps"))
     elif args.generator == "grid":
         inst = gen.gen_grid(
             args.width,
             args.height,
-            Fraction(args.steiner_prob),
-            Fraction(args.keep_prob),
+            parse_rational(args.steiner_prob, "--steiner-prob"),
+            parse_rational(args.keep_prob, "--keep-prob"),
             (args.cost_lo, args.cost_hi),
             args.seed,
         )
     else:
-        try:
-            graph = gen.parse_undirected(Path(args.edges).read_text(encoding="utf-8"))
-            inst = gen.reduce_cvc(graph, planar_promise=args.planar)
-        except (OSError, ParseError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        graph = gen.parse_undirected(Path(args.edges).read_text(encoding="utf-8"))
+        inst = gen.reduce_cvc(graph, planar_promise=args.planar)
     sys.stdout.write(serialize_instance(inst))
     return EXIT_OK
 
@@ -158,19 +145,17 @@ def _bench_one(path_str: str) -> dict:
             ratio_vs_opt=str(report.ratio_vs_opt) if report.ratio_vs_opt is not None else "n/a",
             audit_ok=report.all_ok,
         )
-    except (ParseError, InvalidInstanceError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         record["error"] = str(exc)
     return record
 
 
 def cmd_bench(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"error: {args.directory} is not a directory", file=sys.stderr)
-        return EXIT_INVALID
+        raise NotADirectoryError(f"{args.directory} is not a directory")
     paths = sorted(str(p) for p in directory.iterdir() if p.is_file())
     jobs = min(args.jobs, len(paths))
     if jobs > 1:
@@ -206,22 +191,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        inst = _load_instance(args.instance)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        if args.brute:
-            result = oracle.exact_opt_brute(inst)
-        else:
-            result = oracle.exact_opt_dp(inst)
-    except oracle.OracleGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except oracle.InfeasibleInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    inst = _load_instance(args.instance)
+    result = (oracle.exact_opt_brute if args.brute else oracle.exact_opt_dp)(inst)
     print(f"method {result.method}")
     print(f"opt {_fmt(result.opt_cost, args.decimal)}")
     print("arcs " + " ".join(map(str, sorted(result.opt_arcs))))
@@ -229,45 +200,40 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        inst = _load_instance(args.instance)
-        with open(args.trace, encoding="utf-8") as handle:
-            trace = engine.read_trace(handle)
-    except (OSError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    inst = _load_instance(args.instance)
+    with open(args.trace, encoding="utf-8") as handle:
+        trace = engine.read_trace(handle)
     if trace.instance_hash != instance_hash(inst):
-        print("error: trace does not match instance (hash mismatch)", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("trace does not match instance (hash mismatch)")
     if _report_invalid(inst):
         return EXIT_INVALID
     arc_ids = [p.arc for rec in trace.iterations for p in rec.payments]
     arc_ids += trace.purchases()
     if arc_ids and max(arc_ids) >= len(inst.arcs):
-        print(
-            f"error: trace names arc {max(arc_ids)}, but the instance has "
-            f"{len(inst.arcs)} arcs",
-            file=sys.stderr,
+        raise ValueError(
+            f"trace names arc {max(arc_ids)}, but the instance has {len(inst.arcs)} arcs"
         )
-        return EXIT_INVALID
-    sol = engine.reverse_delete(inst, trace)
-    opt = None
-    if args.oracle:
-        try:
-            opt = oracle.exact_opt_dp(inst).opt_cost
-        except oracle.OracleGuardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GUARD
-    report = audit_mod.run_full(inst, trace, sol, opt)
+    opt = oracle.exact_opt_dp(inst).opt_cost if args.oracle else None
+    report = audit_mod.run_full(inst, trace, opt=opt)
+    # What the audit certified: the regrown run's solution, not the record's.
     print(f"instance {trace.instance_hash}")
-    print(f"cost {sol.total_cost}")
-    print(f"lower_bound {sol.lower_bound}")
+    print(f"cost {report.solution.total_cost}")
+    print(f"lower_bound {report.solution.lower_bound}")
     sys.stdout.write(report.render())
     return EXIT_OK if report.all_ok else EXIT_BREACH
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1, not argparse's 2, which
+    would read as EXIT_BREACH."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbdst",
         description="Primal-dual solver for quasi-bipartite directed Steiner tree",
     )
@@ -321,7 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except oracle.OracleGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

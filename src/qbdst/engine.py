@@ -39,10 +39,6 @@ class EngineError(RuntimeError):
     """Unrecoverable growth-phase failure (e.g. stalled growth)."""
 
 
-class InvariantBreach(RuntimeError):
-    """A run violated the alive-terminal bookkeeping; signals an engine bug."""
-
-
 def _moat_name(vertices: frozenset[int]) -> str:
     """A moat's name in trace records: its node ids, ascending, joined by
     commas.  No other code makes a name."""
@@ -297,29 +293,6 @@ def solve_standard_baseline(inst: Instance) -> tuple[Solution, GrowthTrace]:
     """Same loop with one undifferentiated bucket of size c(e) per arc."""
     trace = grow(inst, MODE_STANDARD)
     return reverse_delete(inst, trace), trace
-
-
-def alive_report(trace: GrowthTrace) -> dict[int, dict[int, bool]]:
-    """Replay kill events; per iteration, every active moat must hold
-    exactly one alive terminal and #alive must equal #moats."""
-    alive = set(trace.terminals)
-    report: dict[int, dict[int, bool]] = {}
-    for rec in trace.iterations:
-        if len(rec.moats) != len(alive):
-            raise InvariantBreach(
-                f"iteration {rec.index}: {len(alive)} alive terminals "
-                f"but {len(rec.moats)} active moats"
-            )
-        for name, vertices in zip(rec.moats, rec.moat_sets):
-            holders = vertices & alive
-            if len(holders) != 1:
-                raise InvariantBreach(
-                    f"iteration {rec.index}: moat {name} holds "
-                    f"{len(holders)} alive terminals"
-                )
-        report[rec.index] = {t: t in alive for t in sorted(trace.terminals)}
-        alive.difference_update(rec.kills)
-    return report
 
 
 def _frac_str(value: Fraction) -> str:

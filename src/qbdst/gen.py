@@ -153,9 +153,18 @@ def gen_grid(
     end up unreachable from the root are removed (with renumbering), which
     keeps generation total; unreachable Steiner nodes stay, inert.
     """
+    for name, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     if width * height < 2:
         raise ValueError("grid needs at least 2 nodes")
     steiner_prob, keep_prob = Fraction(steiner_prob), Fraction(keep_prob)
+    for name, p in (("steiner_prob", steiner_prob), ("keep_prob", keep_prob)):
+        if not 0 <= p <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    lo, hi = cost_range
+    if not 0 <= lo <= hi:
+        raise ValueError(f"cost_range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
     rng = random.Random(seed)
     node_id = lambda x, y: y * width + x + 1
 
@@ -170,7 +179,6 @@ def gen_grid(
             elif not _bernoulli(rng, steiner_prob):
                 terminals.add(vid)
 
-    lo, hi = cost_range
     arcs: list[Arc] = []
     for y in range(height):
         for x in range(width):

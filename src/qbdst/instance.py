@@ -71,12 +71,13 @@ class Instance:
         return sum((self.arcs[i].cost for i in arc_ids), Fraction(0))
 
 
-def _parse_cost(token: str) -> Fraction:
+def parse_rational(token: str, what: str) -> Fraction:
+    """`token` as an exact rational (decimal or p/q); otherwise a one-line
+    ValueError naming `what`, also for a zero denominator."""
     try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad cost literal {token!r}") from exc
-    return value
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {what} literal {token!r}") from None
 
 
 def parse_instance(text: str) -> Instance:
@@ -143,6 +144,8 @@ def parse_instance(text: str) -> Instance:
             if tag == FAMILY_MINOR_FREE:
                 if len(args) != 2 or not args[1].isdigit():
                     raise err(lineno, "FAMILY minor_free expects an integer r")
+                if int(args[1]) < 2:
+                    raise err(lineno, f"FAMILY minor_free needs r >= 2, got {args[1]}")
                 family, minor_r = FAMILY_MINOR_FREE, int(args[1])
             elif tag in (FAMILY_PLANAR_BIPARTITE, FAMILY_UNKNOWN):
                 if len(args) != 1:
@@ -158,7 +161,7 @@ def parse_instance(text: str) -> Instance:
             except ValueError:
                 raise err(lineno, "bad arc endpoint") from None
             try:
-                cost = _parse_cost(args[2])
+                cost = parse_rational(args[2], "cost")
             except ValueError as exc:
                 raise err(lineno, str(exc)) from None
             if cost < 0:

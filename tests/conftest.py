@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from qbdst.engine import GrowthTrace
 from qbdst.instance import Arc, Instance, validate
 from qbdst.gen import UndirectedGraph
 
@@ -20,6 +21,33 @@ FOUR_NODE = (
     "NODES 3\nROOT 1\nTERMINALS 2 3\n"
     "ARC 1 2 3\nARC 1 3 3\nARC 3 2 1\nARC 2 3 1\nEND\n"
 )
+
+
+class InvariantBreach(RuntimeError):
+    """A run violated the alive-terminal bookkeeping; signals an engine bug."""
+
+
+def alive_report(trace: GrowthTrace) -> dict[int, dict[int, bool]]:
+    """Replay kill events; per iteration, every active moat must hold
+    exactly one alive terminal and #alive must equal #moats."""
+    alive = set(trace.terminals)
+    report: dict[int, dict[int, bool]] = {}
+    for rec in trace.iterations:
+        if len(rec.moats) != len(alive):
+            raise InvariantBreach(
+                f"iteration {rec.index}: {len(alive)} alive terminals "
+                f"but {len(rec.moats)} active moats"
+            )
+        for name, vertices in zip(rec.moats, rec.moat_sets):
+            holders = vertices & alive
+            if len(holders) != 1:
+                raise InvariantBreach(
+                    f"iteration {rec.index}: moat {name} holds "
+                    f"{len(holders)} alive terminals"
+                )
+        report[rec.index] = {t: t in alive for t in sorted(trace.terminals)}
+        alive.difference_update(rec.kills)
+    return report
 
 
 def random_qb_instance(

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qbdst.audit import run_full
-from qbdst.engine import Payment, alive_report, solve, solve_standard_baseline
+from qbdst.engine import Payment, solve, solve_standard_baseline
 from qbdst.gen import brute_cvc, gen_bad_example, gen_grid, reduce_cvc
 from qbdst.instance import parse_instance, validate
 from qbdst.moats import EXPANSION, KILLER, active_moats, enumerate_minimal_violated_brute
@@ -20,6 +20,7 @@ from qbdst.oracle import exact_opt_brute, exact_opt_dp
 
 from conftest import (
     FOUR_NODE,
+    alive_report,
     connected_graphs_up_to_iso,
     random_connected_graph,
     random_qb_instance,

@@ -265,3 +265,29 @@ def test_honest_report_has_no_divergence_line():
     report = run_full(inst, trace, sol)
     assert report.divergence is None
     assert "divergence" not in report.render()
+
+
+def test_run_full_returns_the_certified_solution():
+    inst = parse_instance(FOUR_NODE)
+    sol, trace = solve(inst)
+    assert run_full(inst, trace, sol).solution == sol
+    assert run_full(inst, trace).solution == sol
+    # A tampered epsilon changes the recorded duals, not the certified bound.
+    trace.iterations[0] = replace(trace.iterations[0], epsilon=Fraction(100))
+    report = run_full(inst, trace, reverse_delete(inst, trace))
+    assert report.divergence == (0, "epsilon")
+    assert report.solution == sol
+    assert report.solution.lower_bound == 2
+    assert report.ratio_vs_lb == 2
+
+
+def test_claimed_solution_divergence_is_named():
+    inst = parse_instance(FOUR_NODE)
+    sol, trace = solve(inst)
+    claimed = replace(sol, final_arcs=sol.final_arcs[:-1])
+    report = run_full(inst, trace, claimed)
+    assert not report.all_ok
+    assert not report.payments_consistent
+    assert report.divergence == (None, "solution")
+    assert "\ndivergence solution\n" in report.render()
+    assert report.solution == sol

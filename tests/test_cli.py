@@ -415,3 +415,159 @@ def test_audit_mutation_fuzz_never_raises(tmp_path, capsys, inst_text):
         if code == 1:
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
+
+
+def _one_error_line(err: str) -> None:
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Each bad input, written where a command expects a file.
+BAD_INPUTS = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "non_utf8": lambda path: path.write_bytes(b"\xff\xfeNODES 3\n"),
+    "truncated": lambda path: path.write_text(FOUR_NODE[:25], encoding="utf-8"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "{bad}"],
+        ["solve", "{bad}", "--audit", "--oracle"],
+        ["oracle", "{bad}"],
+        ["audit", "{bad}", "--trace", "{good}"],
+        ["audit", "{good}", "--trace", "{bad}"],
+    ],
+    ids=["solve", "solve_audit", "oracle", "audit_instance", "audit_trace"],
+)
+def test_input_errors_exit_one_with_one_line(tmp_path, capsys, bad, command):
+    bad_path = tmp_path / "bad"
+    BAD_INPUTS[bad](bad_path)
+    good = tmp_path / "four.txt"
+    good.write_text(FOUR_NODE, encoding="utf-8")
+    if "--trace" in command:
+        # A trace the good instance audits clean, so only the bad file fails.
+        assert cli.main(["solve", str(good), "--trace", str(tmp_path / "t.jsonl")]) == 0
+        capsys.readouterr()
+        good = tmp_path / "t.jsonl" if command[-1] == "{good}" else good
+    argv = [arg.format(bad=bad_path, good=good) for arg in command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err)
+
+
+def test_bench_isolates_every_input_error(tmp_path, capsys):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "good.txt").write_text(FOUR_NODE, encoding="utf-8")
+    for bad in ("non_utf8", "truncated"):
+        BAD_INPUTS[bad](bench / f"{bad}.txt")
+    (bench / "subdir").mkdir()
+    assert cli.main(["bench", str(bench)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split(" error ")[0] for line in lines if " error " in line] == [
+        "non_utf8.txt",
+        "truncated.txt",
+    ]
+    assert "good.txt cost=4 lb=2 ratio_lb=2 ratio_opt=1 audit=ok" in lines
+    assert lines[-1].startswith("summary instances=3 errors=2 breaches=0")
+
+
+@pytest.mark.parametrize("bad", ["missing", "file"])
+def test_bench_rejects_non_directory(tmp_path, capsys, bad):
+    path = tmp_path / "bench"
+    if bad == "file":
+        path.write_text(FOUR_NODE, encoding="utf-8")
+    assert cli.main(["bench", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not a directory\n"
+
+
+def test_unwritable_trace_leaves_stdout_empty(tmp_path, capsys, four_node_file):
+    out = tmp_path / "no_such_dir" / "t.jsonl"
+    assert cli.main(["solve", str(four_node_file), "--audit", "--trace", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err)
+    assert not out.parent.exists()
+
+
+def test_trace_written_before_summary(tmp_path, capsys, four_node_file):
+    out = tmp_path / "t.jsonl"
+    assert cli.main(["solve", str(four_node_file), "--trace", str(out)]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["solve", str(four_node_file)]) == 0
+    assert strip_wall_time(plain) == strip_wall_time(capsys.readouterr().out)
+    assert out.read_text(encoding="utf-8").startswith('{"instance": ')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "badexample", "--k", "0", "--eps", "1/100"],
+        ["gen", "badexample", "--k", "3", "--eps", "abc"],
+        ["gen", "badexample", "--k", "3", "--eps", "1/0"],
+        ["gen", "grid", "--width", "3", "--height", "3", "--seed", "1", "--cost-lo", "5", "--cost-hi", "1"],
+        ["gen", "grid", "--width", "3", "--height", "3", "--seed", "1", "--keep-prob", "3/2"],
+        ["gen", "grid", "--width", "0", "--height", "3", "--seed", "1"],
+    ],
+    ids=["k_0", "eps_abc", "eps_zero_denominator", "empty_cost_range", "keep_prob", "width"],
+)
+def test_gen_argument_errors_exit_one_with_one_line(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["audit", "inst.txt"], ["frobnicate"], ["solve"], ["bench", "d", "--jobs", "x"]],
+    ids=["audit_without_trace", "unknown_subcommand", "missing_instance", "jobs_not_int"],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert "usage: qbdst" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_engine_errors_keep_their_traceback(tmp_path, monkeypatch, four_node_file, command):
+    def broken(inst):
+        raise engine.EngineError("stalled growth")
+
+    monkeypatch.setattr(engine, "solve", broken)
+    target = four_node_file if command == "solve" else four_node_file.parent
+    with pytest.raises(engine.EngineError, match="stalled growth"):
+        cli.main([command, str(target)])
+
+
+def test_audit_prints_the_certified_solution(tmp_path, capsys):
+    # Iteration 0's epsilon raised to 100: the recorded duals sum to 202,
+    # but the audit prints what it certified, the regrown run's bound.
+    inst_path, rows = _write_run(tmp_path, FOUR_NODE)
+    rows[1]["epsilon"] = "100/1"
+    lines = [json.dumps(r) for r in rows]
+    assert _audit_in_process(inst_path, tmp_path / "t.jsonl", lines) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["cost 4", "lower_bound 2"]
+    assert "ratio_vs_lb 2" in out
+    assert "divergence iteration 0 epsilon" in out

@@ -6,9 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qbdst.engine import (
-    InvariantBreach,
     Payment,
-    alive_report,
     read_trace,
     reverse_delete,
     solve,
@@ -22,7 +20,13 @@ from qbdst.instance import InvalidInstanceError, is_feasible, parse_instance
 from qbdst.moats import ANTENNA, EXPANSION, KILLER, active_moats, classify_arc, is_antenna_arc
 from qbdst.gen import gen_bad_example, gen_grid
 
-from conftest import FOUR_NODE, SINGLE_ARC, random_valid_instance
+from conftest import (
+    FOUR_NODE,
+    SINGLE_ARC,
+    InvariantBreach,
+    alive_report,
+    random_valid_instance,
+)
 
 EPS = Fraction(1, 100)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -76,6 +77,51 @@ def test_grid_solvable():
             continue
         sol, _ = solve(inst)
         assert sol.total_cost <= 20 * sol.lower_bound
+
+
+def test_grid_output_pinned():
+    # Valid arguments, the edges of their ranges included, keep the output
+    # the acceptance corpus was built from; the digest predates the
+    # argument checks.
+    digest = hashlib.sha256()
+    for seed in range(40):
+        for args in (
+            (5, 4, Fraction(1, 2), Fraction(3, 4), (1, 9)),
+            (3, 6, Fraction(0), Fraction(1), (0, 0)),
+            (1, 7, Fraction(1), Fraction(1, 3), (2, 2)),
+        ):
+            digest.update(serialize_instance(gen_grid(*args, seed)).encode())
+    assert digest.hexdigest() == (
+        "8244bf04398d70fda3293e6ed42e4f86680b30f21e90b6d03a8225fa9a96dde7"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 4, Fraction(1, 2), Fraction(1, 2), (1, 9)), "width must be at least 1, got 0"),
+        ((-1, -2, Fraction(1, 2), Fraction(1, 2), (1, 9)), "width must be at least 1, got -1"),
+        ((4, -3, Fraction(1, 2), Fraction(1, 2), (1, 9)), "height must be at least 1, got -3"),
+        ((4, 4, Fraction(3, 2), Fraction(1, 2), (1, 9)), "steiner_prob must lie in \\[0, 1\\], got 3/2"),
+        ((4, 4, Fraction(1, 2), Fraction(-1, 5), (1, 9)), "keep_prob must lie in \\[0, 1\\], got -1/5"),
+        ((4, 4, Fraction(1, 2), Fraction(3, 2), (1, 9)), "keep_prob must lie in \\[0, 1\\], got 3/2"),
+        ((4, 4, Fraction(1, 2), Fraction(1, 2), (5, 1)), "cost_range .* got \\(5, 1\\)"),
+        ((4, 4, Fraction(1, 2), Fraction(1, 2), (-2, 3)), "cost_range .* got \\(-2, 3\\)"),
+    ],
+    ids=[
+        "width_0",
+        "negative_area",
+        "height",
+        "steiner_prob",
+        "keep_prob_negative",
+        "keep_prob_above_one",
+        "empty_cost_range",
+        "negative_cost",
+    ],
+)
+def test_grid_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        gen_grid(*args, seed=1)
 
 
 def test_parse_undirected():

@@ -156,6 +156,14 @@ def test_family_round_trip():
     assert parse_instance(serialize_instance(inst)) == inst
 
 
+@pytest.mark.parametrize("r", ["0", "1"])
+def test_minor_free_rejects_r_below_two(r):
+    text = f"NODES 2\nROOT 1\nTERMINALS 2\nFAMILY minor_free {r}\nARC 1 2 1\nEND\n"
+    with pytest.raises(ParseError, match=f"^line 4: FAMILY minor_free needs r >= 2, got {r}$"):
+        parse_instance(text)
+    assert parse_instance(text.replace(f"minor_free {r}", "minor_free 2")).minor_r == 2
+
+
 def test_empty_terminals_line_round_trips():
     inst = parse_instance("NODES 2\nROOT 1\nTERMINALS\nARC 1 2 7\nEND\n")
     assert inst.terminals == frozenset()
