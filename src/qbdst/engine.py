@@ -27,6 +27,7 @@ from .moats import (
     active_moats,
     classify_arc,
     is_antenna_arc,
+    survivors,
 )
 
 MODE_BUCKETED = "bucketed"
@@ -221,12 +222,9 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
         purchased_set.add(buy)
         new_moats = active_moats(inst, frozenset(purchased_set))
-        new_sets = [m.vertices for m in new_moats]
-
-        # A moat dies exactly when its core is inside no active set anymore;
-        # its unique alive terminal dies with it.
-        survivors = {m for m in moats if any(m.core <= s for s in new_sets)}
-        kills = [t for m in moats if m not in survivors for t in sorted(m.core & alive)]
+        # A moat that does not survive dies; its unique alive terminal dies with it.
+        kept = survivors(moats, new_moats)
+        kills = [t for m in moats if m not in kept for t in sorted(m.core & alive)]
         alive.difference_update(kills)
 
         if bucketed:
@@ -240,10 +238,8 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         elif is_antenna_arc(inst, buy):
             label = ANTENNA
         else:
-            # An entered core lies in a new active set only strictly: the tail
-            # is a terminal or the root, so an unmerged core keeps its tails and
-            # the arc enters that set.  So: expansion iff an entered moat survives.
-            grows = any(m in survivors for m in payers[(buy, MODE_STANDARD)])
+            # Expansion iff an entered moat survives, as in `classify_arc`.
+            grows = not kept.isdisjoint(payers[(buy, MODE_STANDARD)])
             label = EXPANSION if grows else KILLER
 
         trace.iterations.append(

@@ -16,7 +16,7 @@ from .instance import (
     Arc,
     Instance,
     ParseError,
-    reachable_from_root,
+    reachable,
 )
 
 CVC_NODE_LIMIT = 12
@@ -203,7 +203,7 @@ def gen_grid(
         arcs=tuple(arcs),
         family=FAMILY_PLANAR_BIPARTITE,
     )
-    reached = reachable_from_root(probe)
+    reached = reachable(probe, [probe.root])
     doomed = {t for t in terminals if t not in reached}
     if not doomed:
         return probe

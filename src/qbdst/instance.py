@@ -11,7 +11,6 @@ purchase tie-breaking order, so arc order is preserved everywhere.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -218,27 +217,29 @@ def instance_hash(inst: Instance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode("utf-8")).hexdigest()
 
 
-def reachable_from_root(inst: Instance, arc_ids: Iterable[int] | None = None) -> set[int]:
-    """Nodes reachable from the root over the given arc subset (default: all)."""
+def reachable(
+    inst: Instance, sources: Iterable[int], arc_ids: Iterable[int] | None = None
+) -> set[int]:
+    """The sources and every node reachable from them over the given arc
+    subset (default: all arcs)."""
     ids = range(len(inst.arcs)) if arc_ids is None else arc_ids
     adjacency: dict[int, list[int]] = {}
     for i in ids:
         arc = inst.arcs[i]
         adjacency.setdefault(arc.tail, []).append(arc.head)
-    seen = {inst.root}
-    queue = deque([inst.root])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency.get(v, ()):
+    seen = set(sources)
+    work = list(seen)
+    while work:
+        for w in adjacency.get(work.pop(), ()):
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                work.append(w)
     return seen
 
 
 def is_feasible(inst: Instance, arc_ids: Iterable[int]) -> bool:
     """True iff every terminal is reachable from the root over `arc_ids`."""
-    return inst.terminals <= reachable_from_root(inst, arc_ids)
+    return inst.terminals <= reachable(inst, [inst.root], arc_ids)
 
 
 def validate(inst: Instance) -> list[str]:
@@ -279,7 +280,7 @@ def validate(inst: Instance) -> list[str]:
             seen_pairs[key] = i
 
     if not violations:
-        reached = reachable_from_root(inst)
+        reached = reachable(inst, [inst.root])
         for t in sorted(inst.terminals):
             if t not in reached:
                 violations.append(f"terminal {t}: unreachable from root")

@@ -22,7 +22,7 @@ every one of them:
 3. u->v enters that unchanged candidate set, which is therefore no longer
    active.  Every other active set of F + {u->v} has a different core,
    disjoint from C, and its Steiner tails cannot hold C's terminal, so no
-   active set strictly contains C: the arc is a killer.
+   active set contains C: no entered moat survives, the arc is a killer.
 
 Arcs the screen does not settle take the from-scratch recompute.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .instance import Instance
+from .instance import Instance, reachable
 
 ANTENNA = "antenna"
 EXPANSION = "expansion"
@@ -178,24 +178,18 @@ def enumerate_minimal_violated_brute(
     return result
 
 
-def _reaches(
-    inst: Instance, purchased: Iterable[int], sources: list[int], target: int
-) -> bool:
-    """Whether an F-path leads from some node of `sources` to `target`."""
-    succ: dict[int, list[int]] = {}
-    for i in purchased:
-        arc = inst.arcs[i]
-        succ.setdefault(arc.tail, []).append(arc.head)
-    seen = set(sources)
-    work = list(seen)
-    while work:
-        for w in succ.get(work.pop(), ()):
-            if w == target:
-                return True
-            if w not in seen:
-                seen.add(w)
-                work.append(w)
-    return target in seen
+def survivors(moats: Iterable[Moat], after: Iterable[Moat]) -> set[Moat]:
+    """The moats of `moats` whose core lies inside some moat of `after`,
+    the active moats once an arc is bought.
+
+    For a moat A with core C that the bought non-antenna arc u->v enters,
+    inside is strictly inside.  An active set S equal to C has core C,
+    since C stays strongly connected, so S has no Steiner tails.  A's tails
+    keep their F-arcs into C, so A has none either, and v lies in C.  Then
+    u->v, whose tail is outside A, enters S, and S is not active.
+    """
+    sets = [m.vertices for m in after]
+    return {m for m in moats if any(m.core <= s for s in sets)}
 
 
 def is_antenna_arc(inst: Instance, arc_id: int) -> bool:
@@ -214,14 +208,14 @@ def classify_arc(
     """Role of an unpurchased arc w.r.t. each active moat it enters.
 
     Antenna arcs are antenna for the (at most one) moat their head lies in.
-    A non-antenna arc entering moat A is an expansion arc when some active
-    set w.r.t. F + {arc} strictly contains A's core, else a killer arc.
-    When no F-path leads from any entered moat's core to the arc's tail,
-    the arc is a killer for all of them (the reachability screen; the
-    module docstring gives its three-step proof).  Otherwise the moats of
-    F + {arc} are recomputed from scratch, per the brute-guarded closed
-    form.  Arcs entering no moat yield an empty list; an arc never
-    receives payment from a moat that already contains its tail.
+    A non-antenna arc entering moat A is an expansion arc when A survives
+    the purchase of the arc (`survivors`), else a killer arc.  When no
+    F-path leads from any entered moat's core to the arc's tail, the arc is
+    a killer for all of them (the reachability screen; the module docstring
+    gives its three-step proof).  Otherwise the moats of F + {arc} are
+    recomputed from scratch, per the brute-guarded closed form.  Arcs
+    entering no moat yield an empty list; an arc never receives payment
+    from a moat that already contains its tail.
     """
     arc = inst.arcs[arc_id]
     entered = [
@@ -231,12 +225,7 @@ def classify_arc(
         return []
     if is_antenna_arc(inst, arc_id):
         return [(m, ANTENNA) for m in entered]
-    if not _reaches(inst, purchased, [v for m in entered for v in m.core], arc.tail):
+    if arc.tail not in reachable(inst, [v for m in entered for v in m.core], purchased):
         return [(m, KILLER) for m in entered]
-    after = active_moats(inst, purchased | {arc_id})
-    after_sets = [m.vertices for m in after]
-    out = []
-    for m in entered:
-        grows = any(m.core < s for s in after_sets)
-        out.append((m, EXPANSION if grows else KILLER))
-    return out
+    grown = survivors(entered, active_moats(inst, purchased | {arc_id}))
+    return [(m, EXPANSION if m in grown else KILLER) for m in entered]
