@@ -5,15 +5,17 @@ ratio breach, 3 oracle size guard exceeded.  All rationals print exactly;
 --decimal appends approximate values clearly marked with '~'.
 
 `main` alone turns a failure into an exit code.  A usage error and every
-input error (any ValueError or OSError: a parse, schema or validation
+input error (an `InputError` or `OSError`: a parse, schema or validation
 error, a generator argument, an unreadable or undecodable file) print one
-`error:` line and exit 1; the oracle's size guard exits 3.  Any other
-exception is a bug and keeps its traceback.
+`error:` line and exit 1; a decode or parse error starts with the path of
+its file.  The oracle's size guard exits 3.  Any other exception is a
+bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
 from fractions import Fraction
@@ -23,6 +25,7 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import engine, gen, oracle
 from .instance import (
+    InputError,
     Instance,
     instance_hash,
     normalize_parallel,
@@ -39,7 +42,7 @@ EXIT_GUARD = 3
 
 # The input errors: what `main` reports as one line with EXIT_INVALID, and
 # what `bench` records per file.
-INPUT_ERRORS = (ValueError, OSError)
+INPUT_ERRORS = (InputError, OSError)
 
 
 def _fmt(value, decimal: bool) -> str:
@@ -51,9 +54,17 @@ def _fmt(value, decimal: bool) -> str:
     return text
 
 
+def _read(path: str, parse):
+    """`parse` applied to the text of the file at `path`.  A decode or parse
+    error becomes an InputError that starts with the path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, InputError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_instance(path: str) -> Instance:
-    text = Path(path).read_text(encoding="utf-8")
-    return normalize_parallel(parse_instance(text))
+    return normalize_parallel(_read(path, parse_instance))
 
 
 def _report_invalid(inst: Instance) -> bool:
@@ -119,7 +130,7 @@ def cmd_gen(args) -> int:
             args.seed,
         )
     else:
-        graph = gen.parse_undirected(Path(args.edges).read_text(encoding="utf-8"))
+        graph = _read(args.edges, gen.parse_undirected)
         inst = gen.reduce_cvc(graph, planar_promise=args.planar)
     sys.stdout.write(serialize_instance(inst))
     return EXIT_OK
@@ -152,7 +163,7 @@ def _bench_one(path_str: str) -> dict:
 
 def cmd_bench(args) -> int:
     if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     directory = Path(args.directory)
     if not directory.is_dir():
         raise NotADirectoryError(f"{args.directory} is not a directory")
@@ -201,16 +212,15 @@ def cmd_oracle(args) -> int:
 
 def cmd_audit(args) -> int:
     inst = _load_instance(args.instance)
-    with open(args.trace, encoding="utf-8") as handle:
-        trace = engine.read_trace(handle)
+    trace = _read(args.trace, lambda text: engine.read_trace(io.StringIO(text)))
     if trace.instance_hash != instance_hash(inst):
-        raise ValueError("trace does not match instance (hash mismatch)")
+        raise InputError("trace does not match instance (hash mismatch)")
     if _report_invalid(inst):
         return EXIT_INVALID
     arc_ids = [p.arc for rec in trace.iterations for p in rec.payments]
     arc_ids += trace.purchases()
     if arc_ids and max(arc_ids) >= len(inst.arcs):
-        raise ValueError(
+        raise InputError(
             f"trace names arc {max(arc_ids)}, but the instance has {len(inst.arcs)} arcs"
         )
     opt = oracle.exact_opt_dp(inst).opt_cost if args.oracle else None

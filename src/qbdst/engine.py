@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, NamedTuple
 
-from .instance import Instance, instance_hash, is_feasible, require_valid
+from .instance import InputError, Instance, instance_hash, is_feasible, require_valid
 from .moats import (
     ANTENNA,
     EXPANSION,
@@ -378,24 +378,24 @@ _purchase = _tuple_of(_arc, _str)
 
 class _Record:
     """One JSON line of a trace file; every schema error is a one-line
-    ValueError naming the line and the key."""
+    InputError naming the line and the key."""
 
     def __init__(self, number: int, text: str) -> None:
         self.where = f"trace line {number}"
         try:
             self.row = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{self.where}: not JSON ({exc.msg})") from None
+            raise InputError(f"{self.where}: not JSON ({exc.msg})") from None
         if type(self.row) is not dict:
-            raise ValueError(f"{self.where}: not a JSON object")
+            raise InputError(f"{self.where}: not a JSON object")
 
     def get(self, key: str, parse, expected: str):
         if key not in self.row:
-            raise ValueError(f"{self.where}: missing key {key!r}")
+            raise InputError(f"{self.where}: missing key {key!r}")
         try:
             return parse(self.row[key])
         except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"{self.where}: {key} must be {expected}") from None
+            raise InputError(f"{self.where}: {key} must be {expected}") from None
 
 
 def read_trace(src: IO[str]) -> GrowthTrace:
@@ -408,10 +408,10 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         if line.strip()
     ]
     if not records:
-        raise ValueError("empty trace file")
+        raise InputError("empty trace file")
     header = records[0]
     if header.row.get("record") != "header":
-        raise ValueError("trace file must start with a header record")
+        raise InputError("trace file must start with a header record")
     trace = GrowthTrace(
         mode=header.get("mode", _mode, " or ".join(MODES)),
         instance_hash=header.get("instance", _str, "a string"),
@@ -426,7 +426,7 @@ def read_trace(src: IO[str]) -> GrowthTrace:
     payments = _list_of(lambda value: Payment(*payment_row(value)))
     for rec in records[1:]:
         if rec.row.get("record") != "iteration":
-            raise ValueError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
+            raise InputError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
         trace.iterations.append(
             IterationRecord(
                 index=rec.get("l", _int, "an integer"),

@@ -14,6 +14,7 @@ from .instance import (
     FAMILY_PLANAR_BIPARTITE,
     FAMILY_UNKNOWN,
     Arc,
+    InputError,
     Instance,
     ParseError,
     reachable,
@@ -33,13 +34,13 @@ class UndirectedGraph:
         seen = set()
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop at {u}")
+                raise InputError(f"self-loop at {u}")
             if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise InputError(f"edge ({u},{v}) out of range")
             if u > v:
-                raise ValueError(f"edge ({u},{v}) not normalized (u<v required)")
+                raise InputError(f"edge ({u},{v}) not normalized (u<v required)")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise InputError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
 
     def is_connected(self) -> bool:
@@ -106,10 +107,10 @@ def gen_bad_example(k: int, eps: Fraction) -> Instance:
     while connecting anything to the root costs the full chain.
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise InputError("k must be at least 2")
     eps = Fraction(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
     root, a, b, v = 1, 2, 3, 4
     w = {i: 4 + i for i in range(1, k + 1)}
     z = {i: 4 + k + i for i in range(1, k + 1)}
@@ -155,16 +156,16 @@ def gen_grid(
     """
     for name, size in (("width", width), ("height", height)):
         if size < 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
+            raise InputError(f"{name} must be at least 1, got {size}")
     if width * height < 2:
-        raise ValueError("grid needs at least 2 nodes")
+        raise InputError("grid needs at least 2 nodes")
     steiner_prob, keep_prob = Fraction(steiner_prob), Fraction(keep_prob)
     for name, p in (("steiner_prob", steiner_prob), ("keep_prob", keep_prob)):
         if not 0 <= p <= 1:
-            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+            raise InputError(f"{name} must lie in [0, 1], got {p}")
     lo, hi = cost_range
     if not 0 <= lo <= hi:
-        raise ValueError(f"cost_range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+        raise InputError(f"cost_range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
     rng = random.Random(seed)
     node_id = lambda x, y: y * width + x + 1
 
@@ -233,9 +234,9 @@ def reduce_cvc(g: UndirectedGraph, planar_promise: bool = False) -> Instance:
     edge.
     """
     if not g.edges:
-        raise ValueError("reduction needs at least one edge")
+        raise InputError("reduction needs at least one edge")
     if not g.is_connected():
-        raise ValueError("input graph must be connected")
+        raise InputError("input graph must be connected")
     n = g.node_count
     edges = sorted(g.edges)
     one = Fraction(1)

@@ -20,11 +20,17 @@ FAMILY_MINOR_FREE = "minor_free"
 FAMILY_UNKNOWN = "unknown"
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed file, a bad argument, or an instance that
+    fails validation or an oracle's limits.  The CLI reports it as one
+    line; any other ValueError is a bug and keeps its traceback."""
+
+
+class ParseError(InputError):
     """Malformed instance file; the message carries the offending line."""
 
 
-class InvalidInstanceError(ValueError):
+class InvalidInstanceError(InputError):
     """Instance failed validation; `violations` holds the report."""
 
     def __init__(self, violations: list[str]):
@@ -72,11 +78,11 @@ class Instance:
 
 def parse_rational(token: str, what: str) -> Fraction:
     """`token` as an exact rational (decimal or p/q); otherwise a one-line
-    ValueError naming `what`, also for a zero denominator."""
+    InputError naming `what`, also for a zero denominator."""
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad {what} literal {token!r}") from None
+        raise InputError(f"bad {what} literal {token!r}") from None
 
 
 def parse_instance(text: str) -> Instance:
@@ -161,7 +167,7 @@ def parse_instance(text: str) -> Instance:
                 raise err(lineno, "bad arc endpoint") from None
             try:
                 cost = parse_rational(args[2], "cost")
-            except ValueError as exc:
+            except InputError as exc:
                 raise err(lineno, str(exc)) from None
             if cost < 0:
                 raise err(lineno, f"negative cost {args[2]}")

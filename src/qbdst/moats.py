@@ -9,6 +9,11 @@ active exactly when nothing in F enters core-plus-tails.  `active_moats`
 uses that closed form; `enumerate_minimal_violated_brute` is the
 independent subset-enumeration oracle guarding it.
 
+The survival rule is `survivors`: a moat outlives a purchase when its
+core lies inside an active set after it.  The growth loop kills every
+other moat, and a non-antenna arc is an expansion arc for exactly the
+entered moats that survive its purchase.
+
 `classify_arc` screens each non-antenna arc u->v by reachability before
 it recomputes the moats of F + {u->v}.  When no F-path leads from the
 core C of any moat the arc enters to its tail u, the arc is a killer for

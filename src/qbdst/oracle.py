@@ -13,17 +13,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Instance
+from .instance import InputError, Instance
 
 DP_TERMINAL_LIMIT = 14
 BRUTE_ARC_LIMIT = 20
 
 
-class OracleGuardError(ValueError):
+class OracleGuardError(InputError):
     """Instance exceeds the size guard of the requested oracle."""
 
 
-class InfeasibleInstanceError(ValueError):
+class InfeasibleInstanceError(InputError):
     """Some terminal cannot be reached from the root at all."""
 
 

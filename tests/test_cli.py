@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -15,12 +16,19 @@ from qbdst.instance import instance_hash, normalize_parallel, parse_instance, se
 from conftest import FOUR_NODE, SINGLE_ARC
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args: str, cwd=None):
+    # The child imports qbdst from this checkout, installed or not.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qbdst", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -297,9 +305,10 @@ def test_audit_rejects_malformed_moat_names(tmp_path, capsys, row, key, value, m
     inst_path, rows = _write_run(tmp_path, FOUR_NODE)
     rows[row][key] = value
     lines = [json.dumps(r) for r in rows]
-    assert _audit_in_process(inst_path, tmp_path / "t.jsonl", lines) == 1
+    trace_path = tmp_path / "t.jsonl"
+    assert _audit_in_process(inst_path, trace_path, lines) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}")
+    assert err.startswith(f"error: {trace_path}: {message}")
     assert err.count("\n") == 1
 
 
@@ -549,15 +558,54 @@ def test_help_still_exits_zero(capsys):
     assert "usage: qbdst" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_engine_errors_keep_their_traceback(tmp_path, monkeypatch, four_node_file, command):
+STALLED = engine.EngineError("stalled growth")
+# A plain ValueError from inside the solver is a bug, not bad input.
+EMPTY_MIN = ValueError("min() arg is an empty sequence")
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [("solve", STALLED), ("bench", STALLED), ("solve", EMPTY_MIN), ("bench", EMPTY_MIN)],
+    ids=["solve", "bench", "solve_value_error", "bench_value_error"],
+)
+def test_engine_errors_keep_their_traceback(
+    tmp_path, monkeypatch, four_node_file, command, error
+):
     def broken(inst):
-        raise engine.EngineError("stalled growth")
+        raise error
 
     monkeypatch.setattr(engine, "solve", broken)
     target = four_node_file if command == "solve" else four_node_file.parent
-    with pytest.raises(engine.EngineError, match="stalled growth"):
+    with pytest.raises(type(error)) as info:
         cli.main([command, str(target)])
+    assert info.value is error
+
+
+def test_load_errors_name_their_file(tmp_path, capsys, four_node_file):
+    trace = tmp_path / "t.jsonl"
+    assert cli.main(["solve", str(four_node_file), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    bad_inst, bad_trace = tmp_path / "inst.bin", tmp_path / "trace.bin"
+    BAD_INPUTS["non_utf8"](bad_inst)
+    BAD_INPUTS["non_utf8"](bad_trace)
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    errors = []
+    for argv in (
+        ["audit", str(bad_inst), "--trace", str(trace)],
+        ["audit", str(four_node_file), "--trace", str(bad_trace)],
+    ):
+        assert cli.main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: {bad_inst}: {decode}\n", f"error: {bad_trace}: {decode}\n"]
+
+    bad_line = tmp_path / "bad.txt"
+    bad_line.write_text("NODES 2\nROOT 1\nTERM 2\nEND\n", encoding="utf-8")
+    assert cli.main(["solve", str(bad_line)]) == 1
+    assert capsys.readouterr().err == f"error: {bad_line}: line 3: unknown record 'TERM'\n"
+    edges = tmp_path / "edges.txt"
+    edges.write_text("NODES 2\nEDGE 1 5\nEND\n", encoding="utf-8")
+    assert cli.main(["gen", "reduce", str(edges)]) == 1
+    assert capsys.readouterr().err == f"error: {edges}: edge (1,5) out of range\n"
 
 
 def test_audit_prints_the_certified_solution(tmp_path, capsys):

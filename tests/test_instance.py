@@ -8,6 +8,7 @@ from qbdst.instance import (
     ParseError,
     normalize_parallel,
     parse_instance,
+    reachable,
     serialize_instance,
     validate,
 )
@@ -176,3 +177,16 @@ def test_arcs_into_root_are_retained():
     )
     assert validate(inst) == []
     assert len(inst.arcs) == 2
+
+
+def test_reachable_from_several_sources_over_arc_subset():
+    # Arcs 0: 1->2, 1: 2->3, 2: 3->4, 3: 5->6, 4: 4->5.
+    inst = parse_instance(
+        "NODES 6\nROOT 1\nTERMINALS 2 4 6\n"
+        "ARC 1 2 1\nARC 2 3 1\nARC 3 4 1\nARC 5 6 1\nARC 4 5 1\nEND\n"
+    )
+    assert reachable(inst, [2, 5], [1, 3]) == {2, 3, 5, 6}
+    assert reachable(inst, [2, 5], [1, 2, 3]) == {2, 3, 4, 5, 6}
+    assert reachable(inst, [3, 6], []) == {3, 6}
+    # All arcs by default; nothing leads back to the root.
+    assert reachable(inst, [4, 2]) == {2, 3, 4, 5, 6}

@@ -12,6 +12,7 @@ from qbdst.moats import (
     active_moats,
     classify_arc,
     enumerate_minimal_violated_brute,
+    survivors,
 )
 
 from conftest import random_qb_instance
@@ -201,7 +202,8 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
     # The reachability screen settles most killers without recomputing the
     # moats.  Every expansion or killer role, screened or recomputed, must
     # match the brute answer: expansion iff a minimal violated set of
-    # F + {arc} strictly contains the entered moat's core.
+    # F + {arc} strictly contains the entered moat's core.  The survival
+    # rule gives that same set of moats, screened arcs included.
     recomputes = 0
 
     def counted(inst, purchased):
@@ -221,6 +223,7 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
             if arc_id in purchased:
                 continue
             brute = None
+            entered = []
             for moat, role in classify_arc(inst, purchased, moats, arc_id):
                 assert moat in moats, (trial, arc_id, moat)
                 if role == ANTENNA:
@@ -231,6 +234,11 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
                 grows = any(moat.core < s for s in brute)
                 assert role == (EXPANSION if grows else KILLER), (trial, arc_id, moat)
                 roles[role] += 1
+                entered.append(moat)
+            if entered:
+                expanded = {m for m in entered if any(m.core < s for s in brute)}
+                after = active_moats(inst, purchased | {arc_id})
+                assert survivors(entered, after) == expanded, (trial, arc_id)
     assert roles[EXPANSION] and roles[KILLER]
     # Both paths ran: some arcs were recomputed, and the screen settled others.
     assert 0 < recomputes < classified
