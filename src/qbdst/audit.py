@@ -98,13 +98,22 @@ def verify_dual_feasibility(
     inst: Instance, trace: GrowthTrace
 ) -> tuple[dict[int, Fraction], bool]:
     """Per-arc dual load (sum of y over sets the arc enters) and whether
-    every load is at most 2c, with antenna arcs at most c."""
+    every load is at most 2c, with antenna arcs at most c, and every set
+    with a dual is a cut the LP bound counts: nodes in 1..n, no root, a
+    terminal."""
+    duals = trace.duals
+    nodes = range(1, inst.node_count + 1)
+    ok = all(
+        members.issubset(nodes)
+        and inst.root not in members
+        and not members.isdisjoint(inst.terminals)
+        for members in duals
+    )
     loads = {arc_id: Fraction(0) for arc_id in range(len(inst.arcs))}
-    for members, y in trace.duals.items():
+    for members, y in duals.items():
         for arc_id, arc in enumerate(inst.arcs):
             if arc.head in members and arc.tail not in members:
                 loads[arc_id] += y
-    ok = True
     for arc_id, load in loads.items():
         cap = inst.arcs[arc_id].cost
         if is_antenna_arc(inst, arc_id):

@@ -5,10 +5,13 @@ Each arc owns payment buckets of capacity c(arc): one antenna bucket for
 antenna arcs, separate expansion and killer buckets otherwise (the
 baseline uses a single undifferentiated bucket).  Every iteration grows
 all active moat duals by the largest epsilon that overfills no paid
-bucket, buys exactly one tight arc (smallest ArcId), and recomputes the
-moats.  Because only arcs entering a moat are paid, the bucket fills of an
-arc always equal its dual load sum over entered sets, so the accumulated
-duals y satisfy load <= 2c per arc and y/2 certifies the lower bound.
+bucket, buys exactly one tight arc (smallest ArcId), and updates the
+moats locally: only the moats holding the bought arc's head can change
+(`moats.moats_after`; `active_moats` computes the first moats from
+scratch).  Because only arcs entering a moat are paid, the bucket fills
+of an arc always equal its dual load sum over entered sets, so the
+accumulated duals y satisfy load <= 2c per arc and y/2 certifies the
+lower bound.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .moats import (
     active_moats,
     classify_arc,
     is_antenna_arc,
+    moats_after,
     survivors,
 )
 
@@ -162,6 +166,16 @@ def _epsilon_from_payers(
 ) -> tuple[Fraction, list[tuple[int, str]]]:
     """Largest uniform growth that overfills no paid bucket, plus every
     bucket reaching capacity at that growth.  Epsilon may be 0."""
+    # No fill exceeds its cost, so when a paid bucket is already full the
+    # growth is 0 and the tight buckets are exactly the full ones.  An
+    # unpaid cost-0 bucket is full from the start.
+    full = sorted(
+        (arc_id, kind)
+        for arc_id, kind in payers
+        if fills.get((kind, arc_id), 0) == inst.arcs[arc_id].cost
+    )
+    if full:
+        return Fraction(0), full
     # The growth that fills each bucket: its room shared among its payers.
     fill_at = {
         (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0))
@@ -221,7 +235,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
         purchased_set.add(buy)
-        new_moats = active_moats(inst, frozenset(purchased_set))
+        new_moats = moats_after(inst, frozen, moats, buy)
         # A moat that does not survive dies; its unique alive terminal dies with it.
         kept = survivors(moats, new_moats)
         kills = [t for m in moats if m not in kept for t in sorted(m.core & alive)]

@@ -224,15 +224,21 @@ def instance_hash(inst: Instance) -> str:
 
 
 def reachable(
-    inst: Instance, sources: Iterable[int], arc_ids: Iterable[int] | None = None
+    inst: Instance,
+    sources: Iterable[int],
+    arc_ids: Iterable[int] | None = None,
+    backward: bool = False,
 ) -> set[int]:
     """The sources and every node reachable from them over the given arc
-    subset (default: all arcs)."""
+    subset (default: all arcs); with `backward`, every node that reaches
+    them instead."""
     ids = range(len(inst.arcs)) if arc_ids is None else arc_ids
     adjacency: dict[int, list[int]] = {}
     for i in ids:
-        arc = inst.arcs[i]
-        adjacency.setdefault(arc.tail, []).append(arc.head)
+        tail, head, _ = inst.arcs[i]
+        if backward:
+            tail, head = head, tail
+        adjacency.setdefault(tail, []).append(head)
     seen = set(sources)
     work = list(seen)
     while work:

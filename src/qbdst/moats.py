@@ -30,10 +30,33 @@ every one of them:
    active set contains C: no entered moat survives, the arc is a killer.
 
 Arcs the screen does not settle take the from-scratch recompute.
+
+`moats_after` updates the moats locally after one purchase u->v instead
+of rebuilding every SCC.  Let F' = F + {u->v}:
+
+1. A moat M of F with v not in M is a moat of F', unchanged.  A new cycle
+   through M's core C would need an F-path from v into C, and every such
+   path enters M by an F-arc, which an active M does not have; so C stays
+   an SCC.  The head v lies outside C, so C's Steiner tails stay the same,
+   and u->v does not enter M, so M stays active.
+2. Every other candidate of F' is unchanged too, except the SCC S of v
+   in F'.  An SCC D of F' without v is an SCC of F, and its tails are
+   those of F, since u->v's head is not in D.  If D + tails is active in
+   F', it was active in F, so it is a moat M of F; if v were in M, it
+   would be a Steiner tail, and u->v would have to start inside M.  The
+   instance is quasi-bipartite, so u (with an arc to the Steiner node v)
+   is not Steiner and lies in D, and then v joins D's SCC in F': v would
+   be in D after all.  So M does not contain v, and step 1 applies.
+
+The moats of F' are therefore the moats of F without v, plus S with its
+Steiner tails when S excludes the root, holds a terminal and no F'-arc
+enters it.  S is v's forward reach in F' intersected with its backward
+reach, two searches bounded by |F'|.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -115,10 +138,8 @@ def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:
     purchased arc into C; A is a moat iff no purchased arc enters A.
     Ordered ascending by the sorted vertex list.
     """
-    ids = list(purchased)
-    farcs = [inst.arcs[i] for i in ids]
+    farcs = [inst.arcs[i] for i in purchased]
     pairs = [(a.tail, a.head) for a in farcs]
-    steiner = inst.steiner
 
     candidates: list[set[int]] = []
     cores: list[frozenset[int]] = []
@@ -138,16 +159,61 @@ def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:
     # directly to the core, never through another Steiner node.
     for arc in farcs:
         idx = member_of.get(arc.head)
-        if idx is not None and arc.tail in steiner and arc.tail not in cores[idx]:
+        if idx is not None and inst.is_steiner(arc.tail) and arc.tail not in cores[idx]:
             candidates[idx].add(arc.tail)
 
-    moats = []
+    # One pass over F marks the candidates an F-arc enters.
+    holders: dict[int, list[int]] = {}
     for idx, cand in enumerate(candidates):
-        if any(a.head in cand and a.tail not in cand for a in farcs):
-            continue
-        moats.append(Moat(core=cores[idx], steiner_tails=frozenset(cand - cores[idx])))
-    moats.sort(key=lambda m: sorted(m.vertices))
+        for v in cand:
+            holders.setdefault(v, []).append(idx)
+    entered = {
+        idx
+        for arc in farcs
+        for idx in holders.get(arc.head, ())
+        if arc.tail not in candidates[idx]
+    }
+    moats = [
+        Moat(core=core, steiner_tails=frozenset(cand - core))
+        for idx, (cand, core) in enumerate(zip(candidates, cores))
+        if idx not in entered
+    ]
+    moats.sort(key=_order)
     return moats
+
+
+def _order(moat: Moat) -> list[int]:
+    """The moats' order: ascending by the sorted vertex list."""
+    return sorted(moat.vertices)
+
+
+def moats_after(
+    inst: Instance, purchased: Iterable[int], moats: list[Moat], arc_id: int
+) -> list[Moat]:
+    """The active moats of F + {arc}, given `moats`, the active moats of
+    F = `purchased`; equal to `active_moats(inst, F | {arc_id})`.
+
+    The moats that do not hold the arc's head v are kept, and the SCC of v
+    in F + {arc} is the one new candidate (the module docstring gives the
+    proof).  Ordered as `active_moats`.
+    """
+    ids = [*purchased, arc_id]
+    farcs = [inst.arcs[i] for i in ids]
+    v = inst.arcs[arc_id].head
+    kept = [m for m in moats if v not in m.vertices]
+    core = reachable(inst, [v], ids) & reachable(inst, [v], ids, backward=True)
+    if inst.root in core or core.isdisjoint(inst.terminals):
+        return kept
+    tails = {
+        arc.tail
+        for arc in farcs
+        if arc.head in core and arc.tail not in core and inst.is_steiner(arc.tail)
+    }
+    vertices = core | tails
+    if any(arc.head in vertices and arc.tail not in vertices for arc in farcs):
+        return kept
+    insort(kept, Moat(core=frozenset(core), steiner_tails=frozenset(tails)), key=_order)
+    return kept
 
 
 def enumerate_minimal_violated_brute(

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 from qbdst.engine import GrowthTrace
 from qbdst.instance import Arc, Instance, validate
-from qbdst.gen import UndirectedGraph
+from qbdst.gen import UndirectedGraph, gen_bad_example, gen_grid, reduce_cvc
 
 SINGLE_ARC = "NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 5\nEND\n"
 
@@ -142,3 +142,32 @@ def connected_graphs_up_to_iso(n: int) -> list[UndirectedGraph]:
         seen.add(canonical)
         out.append(graph)
     return out
+
+
+def acceptance_corpus() -> list[tuple[str, Instance]]:
+    """The acceptance suite's named corpus: adversarial chains, random
+    grids and connected-vertex-cover reductions."""
+    instances = []
+    for k in list(range(2, 21)) + [25, 30, 40, 50]:
+        instances.append((f"bad_k{k}", gen_bad_example(k, Fraction(1, 100))))
+    grid_shapes = [(5, 5), (6, 5), (4, 6), (5, 4), (4, 5)]
+    steiner_probs = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    keep_probs = [Fraction(7, 10), Fraction(4, 5), Fraction(9, 10)]
+    for seed in range(200):
+        width, height = grid_shapes[seed % len(grid_shapes)]
+        inst = gen_grid(
+            width,
+            height,
+            steiner_probs[seed % len(steiner_probs)],
+            keep_probs[(seed // 3) % len(keep_probs)],
+            (1, 12),
+            seed,
+        )
+        instances.append((f"grid_{seed}", inst))
+    rng = random.Random(99)
+    for i in range(6):
+        graph = random_connected_graph(rng, rng.randint(3, 5), max_edges=8)
+        if len(graph.edges) < 2:
+            continue
+        instances.append((f"reduce_{i}", reduce_cvc(graph, planar_promise=True)))
+    return instances

@@ -13,13 +13,14 @@ import pytest
 
 from qbdst.audit import run_full
 from qbdst.engine import Payment, solve, solve_standard_baseline
-from qbdst.gen import brute_cvc, gen_bad_example, gen_grid, reduce_cvc
+from qbdst.gen import brute_cvc, gen_bad_example, reduce_cvc
 from qbdst.instance import parse_instance, validate
 from qbdst.moats import EXPANSION, KILLER, active_moats, enumerate_minimal_violated_brute
 from qbdst.oracle import exact_opt_brute, exact_opt_dp
 
 from conftest import (
     FOUR_NODE,
+    acceptance_corpus,
     alive_report,
     connected_graphs_up_to_iso,
     random_connected_graph,
@@ -28,12 +29,6 @@ from conftest import (
 )
 
 EPS = Fraction(1, 100)
-
-GRID_SHAPES = [(5, 5), (6, 5), (4, 6), (5, 4), (4, 5)]
-STEINER_PROBS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
-KEEP_PROBS = [Fraction(7, 10), Fraction(4, 5), Fraction(9, 10)]
-BAD_KS = list(range(2, 21)) + [25, 30, 40, 50]
-REDUCTION_SEEDS = range(6)
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -45,34 +40,10 @@ def check(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _corpus_instances():
-    instances = []
-    for k in BAD_KS:
-        instances.append((f"bad_k{k}", gen_bad_example(k, EPS)))
-    for seed in range(200):
-        width, height = GRID_SHAPES[seed % len(GRID_SHAPES)]
-        inst = gen_grid(
-            width,
-            height,
-            STEINER_PROBS[seed % len(STEINER_PROBS)],
-            KEEP_PROBS[(seed // 3) % len(KEEP_PROBS)],
-            (1, 12),
-            seed,
-        )
-        instances.append((f"grid_{seed}", inst))
-    rng = random.Random(99)
-    for i in REDUCTION_SEEDS:
-        graph = random_connected_graph(rng, rng.randint(3, 5), max_edges=8)
-        if len(graph.edges) < 2:
-            continue
-        instances.append((f"reduce_{i}", reduce_cvc(graph, planar_promise=True)))
-    return instances
-
-
 @pytest.fixture(scope="module")
 def corpus_runs():
     """Solve the whole corpus once; audits reuse these runs."""
-    instances = _corpus_instances()
+    instances = acceptance_corpus()
     for name, inst in instances:
         assert validate(inst) == [], f"{name} failed validation"
     runs = []

@@ -12,9 +12,16 @@ from qbdst.audit import (
     verify_counting_lemmas,
     verify_dual_feasibility,
 )
-from qbdst.engine import reverse_delete, solve, solve_standard_baseline
+from qbdst.engine import (
+    MODE_BUCKETED,
+    GrowthTrace,
+    IterationRecord,
+    reverse_delete,
+    solve,
+    solve_standard_baseline,
+)
 from qbdst.gen import gen_bad_example, gen_grid
-from qbdst.instance import Instance, parse_instance
+from qbdst.instance import Instance, instance_hash, parse_instance
 from qbdst.moats import KILLER
 from qbdst.oracle import exact_opt_dp
 
@@ -52,6 +59,30 @@ def test_antenna_arcs_load_at_most_cost():
         for arc_id, arc in enumerate(inst.arcs):
             if inst.is_steiner(arc.tail) and arc.head in inst.terminals:
                 assert loads[arc_id] <= arc.cost
+
+
+@pytest.mark.parametrize(
+    "moat, flaw",
+    [("1,2", "holds the root"), ("4", "holds no terminal"), ("2,5", "names node 5")],
+)
+def test_dual_feasibility_rejects_a_dual_set_that_is_no_cut(moat, flaw):
+    # The LP bound y/2 counts only sets that exclude the root and hold a
+    # terminal.  One positive dual on a flawed set fails the check, even
+    # though its loads are tiny.
+    inst = parse_instance(
+        "NODES 4\nROOT 1\nTERMINALS 2 3\nARC 1 2 9\nARC 1 3 9\nARC 4 2 9\nEND\n"
+    )
+    trace = GrowthTrace(
+        mode=MODE_BUCKETED,
+        instance_hash=instance_hash(inst),
+        node_count=inst.node_count,
+        root=inst.root,
+        terminals=inst.terminals,
+    )
+    trace.iterations.append(IterationRecord(0, Fraction(1, 9), ("2", "3"), (), (0, KILLER), ()))
+    assert verify_dual_feasibility(inst, trace)[1]
+    trace.iterations.append(IterationRecord(1, Fraction(1, 9), (moat,), (), (1, KILLER), ()))
+    assert not verify_dual_feasibility(inst, trace)[1], flaw
 
 
 def test_cost_identity_four_node():

@@ -293,8 +293,8 @@ def test_standard_labels_match_strongest_classify_role():
 
 def test_standard_run_classifies_nothing(monkeypatch):
     # The baseline's label comes from the kill test, so a standard run makes
-    # no classify_arc call and computes the moats once, then once per
-    # iteration.
+    # no classify_arc call.  It computes the moats from scratch once; each
+    # purchase updates them locally through moats_after.
     calls = {"active_moats": 0, "classify_arc": 0}
 
     def counted(name, func):
@@ -314,7 +314,33 @@ def test_standard_run_classifies_nothing(monkeypatch):
         for name in calls:
             calls[name] = 0
         _, trace = solve_standard_baseline(inst)
-        assert calls == {"active_moats": len(trace.iterations) + 1, "classify_arc": 0}
+        assert trace.iterations
+        assert calls == {"active_moats": 1, "classify_arc": 0}
+
+
+def test_bucketed_run_computes_moats_from_scratch_once(monkeypatch):
+    # The engine site computes the first moats with active_moats and then
+    # updates them locally; classify_arc's nested rebuilds go through the
+    # moats module's attribute and are not counted here.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return active_moats(*args)
+
+    monkeypatch.setattr(engine_module, "active_moats", counted)
+    rng = random.Random(36)
+    instances = [gen_bad_example(8, EPS), parse_instance(FOUR_NODE)]
+    instances += [gen_grid(6, 6, Fraction(1, 2), Fraction(4, 5), (1, 6), s) for s in range(4)]
+    instances += [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(10)]
+    iterations = 0
+    for inst in instances:
+        calls = 0
+        _, trace = solve(inst)
+        assert calls == 1
+        iterations += len(trace.iterations)
+    assert iterations > 2 * len(instances)
 
 
 def _replay_bucket_fills(inst, trace):
@@ -389,6 +415,37 @@ def test_nonantenna_kills_match_killer_classification():
                 assert set(rec.kills) == expected
             purchased.add(bought)
             alive -= set(rec.kills)
+
+
+def test_zero_epsilon_shortcut_matches_full_minimum(monkeypatch):
+    # When a paid bucket is already full, epsilon is 0 without the room
+    # arithmetic.  The oracle is the full minimum over every paid bucket's
+    # room per payer.  Cost-0 buckets are full before any payment, so the
+    # instances keep many of them.
+    fast = engine_module._epsilon_from_payers
+    mixed = 0  # tight sets with a paid-full bucket and a never-paid one
+
+    def checked(inst, fills, payers):
+        nonlocal mixed
+        fill_at = {
+            (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0))
+            / len(paying)
+            for (arc_id, kind), paying in payers.items()
+        }
+        epsilon = min(fill_at.values())
+        tight = sorted(bucket for bucket, growth in fill_at.items() if growth == epsilon)
+        assert fast(inst, fills, payers) == (epsilon, tight)
+        full = [(arc_id, kind) for arc_id, kind in tight if (kind, arc_id) in fills]
+        mixed += 0 < len(full) < len(tight)
+        return epsilon, tight
+
+    monkeypatch.setattr(engine_module, "_epsilon_from_payers", checked)
+    rng = random.Random(37)
+    for _ in range(150):
+        inst = random_valid_instance(rng, max_nodes=7, max_arcs=24, rational_costs=False)
+        solve(inst)
+        solve_standard_baseline(inst)
+    assert mixed
 
 
 def test_zero_cost_arcs_handled():

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from qbdst import engine as engine_module
 from qbdst import moats as moats_module
+from qbdst.engine import MODES, grow
+from qbdst.gen import gen_bad_example, gen_grid
 from qbdst.instance import Arc, Instance, parse_instance
 from qbdst.moats import (
     ANTENNA,
@@ -12,10 +15,11 @@ from qbdst.moats import (
     active_moats,
     classify_arc,
     enumerate_minimal_violated_brute,
+    moats_after,
     survivors,
 )
 
-from conftest import random_qb_instance
+from conftest import acceptance_corpus, random_qb_instance
 
 
 def _inst(text: str) -> Instance:
@@ -242,3 +246,56 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
     assert roles[EXPANSION] and roles[KILLER]
     # Both paths ran: some arcs were recomputed, and the screen settled others.
     assert 0 < recomputes < classified
+
+
+def _check_moats_after(inst, purchased, moats, arc_id):
+    # The local update against the from-scratch oracle, and on small
+    # instances against the brute enumerator too.
+    after = moats_after(inst, purchased, moats, arc_id)
+    bought = frozenset(purchased) | {arc_id}
+    assert after == active_moats(inst, bought), (sorted(bought), arc_id)
+    if inst.node_count <= 10:
+        brute = enumerate_minimal_violated_brute(inst, bought)
+        assert [m.vertices for m in after] == brute, (sorted(bought), arc_id)
+    return after
+
+
+def test_moats_after_equals_active_moats_in_grow_runs(monkeypatch):
+    # Every purchase of whole runs in both modes, over the acceptance
+    # corpus plus larger chains and grids.
+    updates = 0
+
+    def checked(*args):
+        nonlocal updates
+        updates += 1
+        return _check_moats_after(*args)
+
+    monkeypatch.setattr(engine_module, "moats_after", checked)
+    instances = [inst for _, inst in acceptance_corpus()]
+    instances += [gen_bad_example(k, Fraction(1, 7)) for k in (3, 60)]
+    instances += [
+        gen_grid(8, 8, Fraction(1, 2), Fraction(9, 10), (1, 12), seed) for seed in range(4)
+    ]
+    purchases = 0
+    for inst in instances:
+        for mode in MODES:
+            purchases += len(grow(inst, mode).iterations)
+    assert updates == purchases > 0
+
+
+def test_moats_after_equals_active_moats_in_random_purchase_orders():
+    # Any arc, bought in any order, also arcs entering no moat or internal
+    # to one, on random quasi-bipartite instances of up to 10 nodes.
+    rng = random.Random(20261019)
+    purchases = 0
+    for _ in range(500):
+        inst = random_qb_instance(rng, max_nodes=10, arc_prob=rng.choice([0.2, 0.4]))
+        order = list(range(len(inst.arcs)))
+        rng.shuffle(order)
+        purchased: set[int] = set()
+        moats = active_moats(inst, purchased)
+        for arc_id in order:
+            moats = _check_moats_after(inst, purchased, moats, arc_id)
+            purchased.add(arc_id)
+            purchases += 1
+    assert purchases > 4000
