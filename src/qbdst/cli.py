@@ -113,7 +113,8 @@ def cmd_solve(args) -> int:
         print(f"ratio_vs_opt {_fmt(ratio_vs_opt, args.decimal)}")
     if report is not None:
         sys.stdout.write(report.render())
-    print(f"wall_time_s {time.perf_counter() - started:.3f}")
+    # On stderr, so that stdout stays byte-deterministic.
+    print(f"wall_time_s {time.perf_counter() - started:.3f}", file=sys.stderr)
     return EXIT_BREACH if report is not None and not report.all_ok else EXIT_OK
 
 

@@ -8,10 +8,13 @@ all active moat duals by the largest epsilon that overfills no paid
 bucket, buys exactly one tight arc (smallest ArcId), and updates the
 moats locally: only the moats holding the bought arc's head can change
 (`moats.moats_after`; `active_moats` computes the first moats from
-scratch).  Because only arcs entering a moat are paid, the bucket fills
-of an arc always equal its dual load sum over entered sets, so the
-accumulated duals y satisfy load <= 2c per arc and y/2 certifies the
-lower bound.
+scratch).  The purchased arcs F only grow, so one `instance.ArcGraph`
+keeps their adjacency for the whole run: each purchase is added to it
+once, and every F search (the reachability screen of `classify_arc`, the
+SCC of `moats_after`) walks only what it visits.  Because only arcs
+entering a moat are paid, the bucket fills of an arc always equal its
+dual load sum over entered sets, so the accumulated duals y satisfy
+load <= 2c per arc and y/2 certifies the lower bound.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, NamedTuple
 
-from .instance import InputError, Instance, instance_hash, is_feasible, require_valid
+from .instance import (
+    ArcGraph,
+    InputError,
+    Instance,
+    instance_hash,
+    is_feasible,
+    require_valid,
+)
 from .moats import (
     ANTENNA,
     EXPANSION,
@@ -127,11 +137,12 @@ class Solution:
 
 def _payer_map(
     inst: Instance,
-    purchased: frozenset[int],
+    purchased: ArcGraph,
     moats: list[Moat],
     bucketed: bool,
 ) -> dict[tuple[int, str], list[Moat]]:
-    """Which moats pay which bucket this iteration.
+    """Which moats pay which bucket this iteration; `purchased` is the
+    graph of F.
 
     Only arcs outside F whose head is in a moat and whose tail is not get
     paid; everything else (arcs into no moat, arcs internal to a moat,
@@ -144,7 +155,7 @@ def _payer_map(
 
     payers: dict[tuple[int, str], list[Moat]] = {}
     for arc_id in range(len(inst.arcs)):
-        if arc_id in purchased:
+        if arc_id in purchased.ids:
             continue
         arc = inst.arcs[arc_id]
         if arc.head not in head_moats:
@@ -203,7 +214,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         root=inst.root,
         terminals=inst.terminals,
     )
-    purchased_set: set[int] = set()
+    purchased = ArcGraph(inst)  # F, kept for the whole run
     fills: dict[tuple[str, int], Fraction] = {}  # (kind, arc) -> paid so far
     alive = set(inst.terminals)
     moats = active_moats(inst, frozenset())
@@ -211,8 +222,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
     while moats:
         if index > len(inst.arcs):
             raise EngineError("growth did not terminate within |E| iterations")
-        frozen = frozenset(purchased_set)
-        payers = _payer_map(inst, frozen, moats, bucketed)
+        payers = _payer_map(inst, purchased, moats, bucketed)
         if not payers:
             raise EngineError(
                 "stalled growth: no payable arc enters any active moat "
@@ -234,8 +244,8 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
 
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
-        purchased_set.add(buy)
-        new_moats = moats_after(inst, frozen, moats, buy)
+        purchased.add(buy)
+        new_moats = moats_after(inst, purchased, moats, buy)
         # A moat that does not survive dies; its unique alive terminal dies with it.
         kept = survivors(moats, new_moats)
         kills = [t for m in moats if m not in kept for t in sorted(m.core & alive)]

@@ -223,6 +223,59 @@ def instance_hash(inst: Instance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode("utf-8")).hexdigest()
 
 
+class ArcGraph:
+    """A subset of an instance's arcs that only grows, with its adjacency
+    kept: `ids` holds the arc ids, `heads[u]` the heads of the arcs leaving
+    u and `tails[v]` the tails of the arcs entering v.  Adding an arc costs
+    O(1), and a search costs only what it visits."""
+
+    def __init__(self, inst: Instance, arc_ids: Iterable[int] = ()) -> None:
+        self.arcs = inst.arcs
+        self.ids: set[int] = set(arc_ids)
+        self.heads = self._adjacency(backward=False)
+        self._tails: dict[int, list[int]] | None = None
+
+    def _adjacency(self, backward: bool) -> dict[int, list[int]]:
+        adjacency: dict[int, list[int]] = {}
+        for arc_id in self.ids:
+            tail, head, _ = self.arcs[arc_id]
+            if backward:
+                tail, head = head, tail
+            adjacency.setdefault(tail, []).append(head)
+        return adjacency
+
+    @property
+    def tails(self) -> dict[int, list[int]]:
+        # Built on first use: `reachable` makes a graph per call and most
+        # calls search forward only.
+        if self._tails is None:
+            self._tails = self._adjacency(backward=True)
+        return self._tails
+
+    def add(self, arc_id: int) -> None:
+        """Put one arc into the subset; an arc already in it is ignored."""
+        if arc_id in self.ids:
+            return
+        tail, head, _ = self.arcs[arc_id]
+        self.ids.add(arc_id)
+        self.heads.setdefault(tail, []).append(head)
+        if self._tails is not None:
+            self._tails.setdefault(head, []).append(tail)
+
+    def reach(self, sources: Iterable[int], backward: bool = False) -> set[int]:
+        """The sources and every node reachable from them over the subset;
+        with `backward`, every node that reaches them instead."""
+        adjacency = self.tails if backward else self.heads
+        seen = set(sources)
+        work = list(seen)
+        while work:
+            for w in adjacency.get(work.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    work.append(w)
+        return seen
+
+
 def reachable(
     inst: Instance,
     sources: Iterable[int],
@@ -233,20 +286,7 @@ def reachable(
     subset (default: all arcs); with `backward`, every node that reaches
     them instead."""
     ids = range(len(inst.arcs)) if arc_ids is None else arc_ids
-    adjacency: dict[int, list[int]] = {}
-    for i in ids:
-        tail, head, _ = inst.arcs[i]
-        if backward:
-            tail, head = head, tail
-        adjacency.setdefault(tail, []).append(head)
-    seen = set(sources)
-    work = list(seen)
-    while work:
-        for w in adjacency.get(work.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                work.append(w)
-    return seen
+    return ArcGraph(inst, ids).reach(sources, backward)
 
 
 def is_feasible(inst: Instance, arc_ids: Iterable[int]) -> bool:

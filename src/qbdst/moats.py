@@ -51,7 +51,10 @@ of rebuilding every SCC.  Let F' = F + {u->v}:
 The moats of F' are therefore the moats of F without v, plus S with its
 Steiner tails when S excludes the root, holds a terminal and no F'-arc
 enters it.  S is v's forward reach in F' intersected with its backward
-reach, two searches bounded by |F'|.
+reach, two searches over the adjacency of F' that the growth loop keeps
+(`instance.ArcGraph`), so each costs only the nodes and arcs it visits.
+S's Steiner tails, and the test whether an F'-arc enters S with its
+tails, read only the in-arcs of those vertices, never all of F'.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .instance import Instance, reachable
+from .instance import ArcGraph, Instance
 
 ANTENNA = "antenna"
 EXPANSION = "expansion"
@@ -188,29 +191,27 @@ def _order(moat: Moat) -> list[int]:
 
 
 def moats_after(
-    inst: Instance, purchased: Iterable[int], moats: list[Moat], arc_id: int
+    inst: Instance, bought: ArcGraph, moats: list[Moat], arc_id: int
 ) -> list[Moat]:
-    """The active moats of F + {arc}, given `moats`, the active moats of
-    F = `purchased`; equal to `active_moats(inst, F | {arc_id})`.
+    """The active moats of F + {arc}, given `bought`, the graph of F with
+    the arc already added, and `moats`, the active moats of F; equal to
+    `active_moats(inst, bought.ids)`.
 
     The moats that do not hold the arc's head v are kept, and the SCC of v
     in F + {arc} is the one new candidate (the module docstring gives the
     proof).  Ordered as `active_moats`.
     """
-    ids = [*purchased, arc_id]
-    farcs = [inst.arcs[i] for i in ids]
     v = inst.arcs[arc_id].head
     kept = [m for m in moats if v not in m.vertices]
-    core = reachable(inst, [v], ids) & reachable(inst, [v], ids, backward=True)
+    core = bought.reach([v]) & bought.reach([v], backward=True)
     if inst.root in core or core.isdisjoint(inst.terminals):
         return kept
+    into = bought.tails
     tails = {
-        arc.tail
-        for arc in farcs
-        if arc.head in core and arc.tail not in core and inst.is_steiner(arc.tail)
+        u for w in core for u in into.get(w, ()) if u not in core and inst.is_steiner(u)
     }
     vertices = core | tails
-    if any(arc.head in vertices and arc.tail not in vertices for arc in farcs):
+    if any(u not in vertices for w in vertices for u in into.get(w, ())):
         return kept
     insort(kept, Moat(core=frozenset(core), steiner_tails=frozenset(tails)), key=_order)
     return kept
@@ -272,21 +273,22 @@ def is_antenna_arc(inst: Instance, arc_id: int) -> bool:
 
 def classify_arc(
     inst: Instance,
-    purchased: frozenset[int],
+    purchased: ArcGraph,
     moats: list[Moat],
     arc_id: int,
 ) -> list[tuple[Moat, str]]:
     """Role of an unpurchased arc w.r.t. each active moat it enters.
 
-    Antenna arcs are antenna for the (at most one) moat their head lies in.
-    A non-antenna arc entering moat A is an expansion arc when A survives
-    the purchase of the arc (`survivors`), else a killer arc.  When no
-    F-path leads from any entered moat's core to the arc's tail, the arc is
-    a killer for all of them (the reachability screen; the module docstring
-    gives its three-step proof).  Otherwise the moats of F + {arc} are
-    recomputed from scratch, per the brute-guarded closed form.  Arcs
-    entering no moat yield an empty list; an arc never receives payment
-    from a moat that already contains its tail.
+    `purchased` is the graph of F.  Antenna arcs are antenna for the (at
+    most one) moat their head lies in.  A non-antenna arc entering moat A
+    is an expansion arc when A survives the purchase of the arc
+    (`survivors`), else a killer arc.  When no F-path leads from any
+    entered moat's core to the arc's tail, the arc is a killer for all of
+    them (the reachability screen, a search of `purchased`; the module
+    docstring gives its three-step proof).  Otherwise the moats of
+    F + {arc} are recomputed from scratch, per the brute-guarded closed
+    form.  Arcs entering no moat yield an empty list; an arc never
+    receives payment from a moat that already contains its tail.
     """
     arc = inst.arcs[arc_id]
     entered = [
@@ -296,7 +298,7 @@ def classify_arc(
         return []
     if is_antenna_arc(inst, arc_id):
         return [(m, ANTENNA) for m in entered]
-    if arc.tail not in reachable(inst, [v for m in entered for v in m.core], purchased):
+    if arc.tail not in purchased.reach([v for m in entered for v in m.core]):
         return [(m, KILLER) for m in entered]
-    grown = survivors(entered, active_moats(inst, purchased | {arc_id}))
+    grown = survivors(entered, active_moats(inst, purchased.ids | {arc_id}))
     return [(m, EXPANSION if m in grown else KILLER) for m in entered]

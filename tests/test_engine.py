@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -6,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from qbdst.engine import (
+    MODES,
     Payment,
+    grow,
     read_trace,
     reverse_delete,
     solve,
@@ -16,7 +19,7 @@ from qbdst.engine import (
 from qbdst import engine as engine_module
 from qbdst import moats as moats_module
 from qbdst.audit import run_full
-from qbdst.instance import InvalidInstanceError, is_feasible, parse_instance
+from qbdst.instance import ArcGraph, InvalidInstanceError, is_feasible, parse_instance, validate
 from qbdst.moats import ANTENNA, EXPANSION, KILLER, active_moats, classify_arc, is_antenna_arc
 from qbdst.gen import gen_bad_example, gen_grid
 
@@ -24,7 +27,9 @@ from conftest import (
     FOUR_NODE,
     SINGLE_ARC,
     InvariantBreach,
+    acceptance_corpus,
     alive_report,
+    random_qb_instance,
     random_valid_instance,
 )
 
@@ -229,6 +234,32 @@ def test_alive_report_detects_tampering():
         alive_report(trace)
 
 
+# sha256 of every trace below, both modes, written back to back.  A change
+# that keeps traces byte-identical keeps this digest; one that alters any
+# purchase, epsilon, payment, moat or kill on this corpus does not.
+TRACE_DIGEST = "558e7ea51507a17e694c4e3bb793ff6476c65bf556356a92a534fa132f6247c2"
+
+
+def test_traces_match_pinned_digest():
+    # The acceptance corpus, larger chains and grids, and a seeded batch of
+    # feasible random quasi-bipartite instances.
+    instances = [inst for _, inst in acceptance_corpus()]
+    instances += [gen_bad_example(k, Fraction(1, 7)) for k in (3, 60)]
+    instances += [
+        gen_grid(8, 8, Fraction(1, 2), Fraction(9, 10), (1, 12), seed) for seed in range(4)
+    ]
+    rng = random.Random(20261020)
+    batch = [random_qb_instance(rng, max_nodes=10, arc_prob=0.4) for _ in range(300)]
+    feasible = [inst for inst in batch if not validate(inst)]
+    assert len(feasible) > 150
+    instances += feasible
+    digest = hashlib.sha256()
+    for inst in instances:
+        for mode in MODES:
+            digest.update(_trace_text(grow(inst, mode)).encode("utf-8"))
+    assert digest.hexdigest() == TRACE_DIGEST
+
+
 def test_trace_round_trip_and_determinism():
     inst = gen_bad_example(4, EPS)
     _, trace_a = solve(inst)
@@ -282,7 +313,8 @@ def test_standard_labels_match_strongest_classify_role():
         for rec in trace.iterations:
             bought, label = rec.purchased
             moats = active_moats(inst, purchased)
-            roles = {role for _, role in classify_arc(inst, purchased, moats, bought)}
+            graph = ArcGraph(inst, purchased)
+            roles = {role for _, role in classify_arc(inst, graph, moats, bought)}
             assert roles
             strongest = next(r for r in (ANTENNA, EXPANSION, KILLER) if r in roles)
             assert label == strongest, (inst, rec.index)
@@ -291,10 +323,30 @@ def test_standard_labels_match_strongest_classify_role():
     assert seen == {ANTENNA, EXPANSION, KILLER}
 
 
+def _count_graphs(monkeypatch):
+    # ArcGraph constructions per module that names the class: a whole run
+    # builds the graph of F once in the engine and never one in moats.
+    graphs = {"engine": 0, "moats": 0}
+
+    def counted(site):
+        def build(*args):
+            graphs[site] += 1
+            return ArcGraph(*args)
+
+        return build
+
+    monkeypatch.setattr(engine_module, "ArcGraph", counted("engine"))
+    monkeypatch.setattr(moats_module, "ArcGraph", counted("moats"))
+    return graphs
+
+
+GRID_8X8 = gen_grid(8, 8, Fraction(1, 2), Fraction(9, 10), (1, 12), 0)
+
+
 def test_standard_run_classifies_nothing(monkeypatch):
     # The baseline's label comes from the kill test, so a standard run makes
     # no classify_arc call.  It computes the moats from scratch once; each
-    # purchase updates them locally through moats_after.
+    # purchase updates them locally through moats_after, over one graph of F.
     calls = {"active_moats": 0, "classify_arc": 0}
 
     def counted(name, func):
@@ -307,21 +359,24 @@ def test_standard_run_classifies_nothing(monkeypatch):
     for module in (engine_module, moats_module):
         for name in calls:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    graphs = _count_graphs(monkeypatch)
     rng = random.Random(35)
-    instances = [gen_bad_example(8, EPS), parse_instance(FOUR_NODE)]
+    instances = [gen_bad_example(8, EPS), GRID_8X8, parse_instance(FOUR_NODE)]
     instances += [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(10)]
     for inst in instances:
-        for name in calls:
-            calls[name] = 0
+        calls.update(active_moats=0, classify_arc=0)
+        graphs.update(engine=0, moats=0)
         _, trace = solve_standard_baseline(inst)
         assert trace.iterations
         assert calls == {"active_moats": 1, "classify_arc": 0}
+        assert graphs == {"engine": 1, "moats": 0}
 
 
 def test_bucketed_run_computes_moats_from_scratch_once(monkeypatch):
     # The engine site computes the first moats with active_moats and then
     # updates them locally; classify_arc's nested rebuilds go through the
-    # moats module's attribute and are not counted here.
+    # moats module's attribute and are not counted here.  Every F search of
+    # the run, screens included, walks the one graph of F the engine built.
     calls = 0
 
     def counted(*args):
@@ -330,15 +385,18 @@ def test_bucketed_run_computes_moats_from_scratch_once(monkeypatch):
         return active_moats(*args)
 
     monkeypatch.setattr(engine_module, "active_moats", counted)
+    graphs = _count_graphs(monkeypatch)
     rng = random.Random(36)
-    instances = [gen_bad_example(8, EPS), parse_instance(FOUR_NODE)]
+    instances = [gen_bad_example(8, EPS), GRID_8X8, parse_instance(FOUR_NODE)]
     instances += [gen_grid(6, 6, Fraction(1, 2), Fraction(4, 5), (1, 6), s) for s in range(4)]
     instances += [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(10)]
     iterations = 0
     for inst in instances:
         calls = 0
+        graphs.update(engine=0, moats=0)
         _, trace = solve(inst)
         assert calls == 1
+        assert graphs == {"engine": 1, "moats": 0}
         iterations += len(trace.iterations)
     assert iterations > 2 * len(instances)
 
@@ -405,7 +463,7 @@ def test_nonantenna_kills_match_killer_classification():
             if not is_antenna_arc(inst, bought):
                 killer_moats = [
                     moat
-                    for moat, role in classify_arc(inst, frozen, moats, bought)
+                    for moat, role in classify_arc(inst, ArcGraph(inst, frozen), moats, bought)
                     if role == KILLER
                 ]
                 expected = set()

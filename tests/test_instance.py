@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from qbdst.instance import (
     Arc,
+    ArcGraph,
     Instance,
     ParseError,
     normalize_parallel,
@@ -13,7 +15,7 @@ from qbdst.instance import (
     validate,
 )
 
-from conftest import SINGLE_ARC, random_valid_instance
+from conftest import SINGLE_ARC, random_qb_instance, random_valid_instance
 
 
 def test_parse_minimal():
@@ -193,3 +195,49 @@ def test_reachable_from_several_sources_over_arc_subset():
     # Backward: the nodes that reach the sources.
     assert reachable(inst, [5], backward=True) == {1, 2, 3, 4, 5}
     assert reachable(inst, [6, 3], [1, 3], backward=True) == {2, 3, 5, 6}
+
+
+def _closure(inst, arc_ids, sources, backward):
+    # Independent oracle: sweep the arcs until none adds a node.
+    seen = set(sources)
+    grew = True
+    while grew:
+        grew = False
+        for i in arc_ids:
+            tail, head, _ = inst.arcs[i]
+            if backward:
+                tail, head = head, tail
+            if tail in seen and head not in seen:
+                seen.add(head)
+                grew = True
+    return seen
+
+
+def test_arc_graph_reach_matches_closure_as_arcs_are_added():
+    # Arcs go in one at a time, in random order, some twice; after each add,
+    # forward and backward reach from random source sets match the closure
+    # over the ids added so far, both for the grown graph and for one built
+    # from those ids at once.
+    rng = random.Random(20261021)
+    checks = 0
+    for _ in range(150):
+        inst = random_qb_instance(rng, max_nodes=10, arc_prob=rng.choice([0.2, 0.4]))
+        order = list(range(len(inst.arcs)))
+        rng.shuffle(order)
+        order += rng.sample(order, len(order) // 4)
+        graph = ArcGraph(inst)
+        added = set()
+        for arc_id in order:
+            graph.add(arc_id)
+            added.add(arc_id)
+            assert graph.ids == added
+            built = ArcGraph(inst, rng.sample(sorted(added), len(added)))
+            for _ in range(3):
+                nodes = range(1, inst.node_count + 1)
+                sources = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+                for backward in (False, True):
+                    expected = _closure(inst, added, sources, backward)
+                    assert graph.reach(sources, backward) == expected
+                    assert built.reach(sources, backward) == expected
+                    checks += 1
+    assert checks > 5000

@@ -7,7 +7,7 @@ from qbdst import engine as engine_module
 from qbdst import moats as moats_module
 from qbdst.engine import MODES, grow
 from qbdst.gen import gen_bad_example, gen_grid
-from qbdst.instance import Arc, Instance, parse_instance
+from qbdst.instance import Arc, ArcGraph, Instance, parse_instance
 from qbdst.moats import (
     ANTENNA,
     EXPANSION,
@@ -101,7 +101,8 @@ def test_brute_size_guard():
 
 def _roles(inst, purchased, moats, arc_id):
     # classify_arc's (moat, role) pairs, each moat given by its vertex set.
-    return [(m.vertices, role) for m, role in classify_arc(inst, purchased, moats, arc_id)]
+    graph = ArcGraph(inst, purchased)
+    return [(m.vertices, role) for m, role in classify_arc(inst, graph, moats, arc_id)]
 
 
 def test_classify_antenna():
@@ -141,7 +142,7 @@ def test_classify_terminal_arc_killer_when_no_merge():
 def test_classify_arc_entering_no_moat_is_empty():
     inst = _inst("NODES 3\nROOT 1\nTERMINALS 2\nARC 2 3 1\nARC 1 2 1\nEND\n")
     moats = active_moats(inst, frozenset())
-    assert classify_arc(inst, frozenset(), moats, 0) == []
+    assert classify_arc(inst, ArcGraph(inst), moats, 0) == []
 
 
 def test_active_moats_equals_brute_oracle_seeded():
@@ -180,10 +181,11 @@ def test_expansion_killer_tails_are_terminal_or_root():
             i for i in range(len(inst.arcs)) if rng.random() < 0.3
         )
         moats = active_moats(inst, purchased)
+        graph = ArcGraph(inst, purchased)
         for arc_id in range(len(inst.arcs)):
             if arc_id in purchased:
                 continue
-            for _, role in classify_arc(inst, purchased, moats, arc_id):
+            for _, role in classify_arc(inst, graph, moats, arc_id):
                 if role in (EXPANSION, KILLER):
                     tail = inst.arcs[arc_id].tail
                     assert tail == inst.root or tail in inst.terminals
@@ -194,11 +196,12 @@ def test_classify_is_pure():
     inst = random_qb_instance(rng)
     purchased = frozenset(i for i in range(len(inst.arcs)) if rng.random() < 0.3)
     moats = active_moats(inst, purchased)
+    graph = ArcGraph(inst, purchased)
     for arc_id in range(len(inst.arcs)):
         if arc_id in purchased:
             continue
-        first = classify_arc(inst, purchased, moats, arc_id)
-        second = classify_arc(inst, purchased, moats, arc_id)
+        first = classify_arc(inst, graph, moats, arc_id)
+        second = classify_arc(inst, graph, moats, arc_id)
         assert first == second
 
 
@@ -223,12 +226,13 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
         inst = random_qb_instance(rng, max_nodes=10)
         purchased = frozenset(i for i in range(len(inst.arcs)) if rng.random() < 0.4)
         moats = active_moats(inst, purchased)
+        graph = ArcGraph(inst, purchased)
         for arc_id in range(len(inst.arcs)):
             if arc_id in purchased:
                 continue
             brute = None
             entered = []
-            for moat, role in classify_arc(inst, purchased, moats, arc_id):
+            for moat, role in classify_arc(inst, graph, moats, arc_id):
                 assert moat in moats, (trial, arc_id, moat)
                 if role == ANTENNA:
                     continue
@@ -248,11 +252,13 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
     assert 0 < recomputes < classified
 
 
-def _check_moats_after(inst, purchased, moats, arc_id):
+def _check_moats_after(inst, graph, moats, arc_id):
     # The local update against the from-scratch oracle, and on small
-    # instances against the brute enumerator too.
-    after = moats_after(inst, purchased, moats, arc_id)
-    bought = frozenset(purchased) | {arc_id}
+    # instances against the brute enumerator too.  `graph` already holds
+    # the bought arc.
+    after = moats_after(inst, graph, moats, arc_id)
+    bought = frozenset(graph.ids)
+    assert arc_id in bought
     assert after == active_moats(inst, bought), (sorted(bought), arc_id)
     if inst.node_count <= 10:
         brute = enumerate_minimal_violated_brute(inst, bought)
@@ -292,10 +298,10 @@ def test_moats_after_equals_active_moats_in_random_purchase_orders():
         inst = random_qb_instance(rng, max_nodes=10, arc_prob=rng.choice([0.2, 0.4]))
         order = list(range(len(inst.arcs)))
         rng.shuffle(order)
-        purchased: set[int] = set()
-        moats = active_moats(inst, purchased)
+        graph = ArcGraph(inst)
+        moats = active_moats(inst, graph.ids)
         for arc_id in order:
-            moats = _check_moats_after(inst, purchased, moats, arc_id)
-            purchased.add(arc_id)
+            graph.add(arc_id)
+            moats = _check_moats_after(inst, graph, moats, arc_id)
             purchases += 1
     assert purchases > 4000
