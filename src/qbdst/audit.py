@@ -206,8 +206,46 @@ def verify_counting_lemmas(
 
 
 def minor_free_ratio_bound(r: int) -> float:
-    """Reporting threshold for declared K_r-minor-free instances."""
+    """Reporting threshold for declared K_r-minor-free instances, as a float
+    for messages; `exceeds_minor_free_bound` decides it exactly."""
     return 2.0 * (8.0 * r * math.log2(r) + 1.0)
+
+
+def _log2_bracket(r: int, p: int) -> tuple[int, int]:
+    """(lo, hi) with lo < 2^p log2 r < hi and hi - lo <= 2, for r not a
+    power of 2.  Squares lower and upper bounds of r p times, each
+    truncated to p + 4 bits, so r^(2^p) is never formed; the truncation
+    widens the bounds' ratio by less than a factor of 2 in all."""
+    bits = p + 4
+    lo_m = hi_m = r
+    lo_e = hi_e = 0
+    for _ in range(p):
+        lo_m, hi_m = lo_m * lo_m, hi_m * hi_m
+        drop = max(0, lo_m.bit_length() - bits)
+        lo_m, lo_e = lo_m >> drop, 2 * lo_e + drop
+        drop = max(0, hi_m.bit_length() - bits)
+        hi_m, hi_e = -(-hi_m >> drop), 2 * hi_e + drop
+    # lo_m 2^lo_e <= r^(2^p) <= hi_m 2^hi_e, and 2^p log2 r is irrational.
+    return lo_m.bit_length() + lo_e - 1, hi_m.bit_length() + hi_e
+
+
+def exceeds_minor_free_bound(ratio: Fraction, r: int) -> bool:
+    """Exactly whether ratio > 2(8 r log2 r + 1), that is whether
+    x = (ratio/2 - 1)/(8r) > log2 r."""
+    x = (Fraction(ratio) / 2 - 1) / (8 * r)
+    if r & (r - 1) == 0:  # log2 r is an integer
+        return x > r.bit_length() - 1
+    # log2 r is irrational, so x differs from it and falls outside the
+    # bracket lo/N < log2 r < hi/N once N = 2^p is large enough.
+    p = 0
+    while True:
+        lo, hi = _log2_bracket(r, p)
+        xn = x * (1 << p)
+        if xn <= lo:
+            return False
+        if xn >= hi:
+            return True
+        p += 1
 
 
 def ratio_report(
@@ -225,8 +263,8 @@ def ratio_report(
                 f"ratio_vs_lb {report.ratio_vs_lb} exceeds {PLANAR_RATIO_BOUND} (planar_bipartite)"
             )
         if inst.family == FAMILY_MINOR_FREE and inst.minor_r is not None:
-            bound = minor_free_ratio_bound(inst.minor_r)
-            if float(report.ratio_vs_lb) > bound:
+            if exceeds_minor_free_bound(report.ratio_vs_lb, inst.minor_r):
+                bound = minor_free_ratio_bound(inst.minor_r)
                 report.breaches.append(
                     f"ratio_vs_lb {report.ratio_vs_lb} exceeds {bound:.3f} (minor_free {inst.minor_r})"
                 )

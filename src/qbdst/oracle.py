@@ -4,7 +4,16 @@
 directed shortest-path distances; `exact_opt_brute` enumerates arc
 subsets.  Both are exact, so their agreement on random instances is the
 cross-check property the tests lean on.  Costs stay exact: every rational
-is scaled by the common denominator and the DP runs on integers.
+is scaled by the common denominator and the DP runs on integers (int64,
+or Python ints in an object array when sums could come near 2^63).
+
+The DP fills its (2^k, n) table one popcount layer at a time: each numpy
+operation handles a batch of masks with all of their splits, so no Python
+loop runs per (mask, submask) pair.  The per-mask split minima are not
+kept; the reconstruction recomputes them for the at most 2k-1 masks it
+visits.  No temporary array is larger than _TEMP_ELEMENTS entries or the
+n x n distance matrix, so memory beyond the table does not grow with the
+3^k splits.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from .instance import InputError, Instance
 
 DP_TERMINAL_LIMIT = 14
 BRUTE_ARC_LIMIT = 20
+# Entry bound of every temporary array in the subset DP's table fill.
+_TEMP_ELEMENTS = 1 << 14
 
 
 class OracleGuardError(InputError):
@@ -88,7 +99,11 @@ def _path_arcs(parent_all: list[list[int]], inst: Instance, source: int, target:
 def exact_opt_dp(inst: Instance) -> OptResult:
     """Terminal-subset DP: D[S][v] is the cheapest way to reach every
     terminal of S from v, built by splitting S at v and walking shortest
-    paths.  Guarded to 14 terminals; raises on unreachable terminals."""
+    paths.  D is one (2^k, n) table filled one popcount layer at a time,
+    a batch of masks per array operation, with bounded temporaries; the
+    split minima are not stored, and the reconstruction recomputes them
+    for the masks it visits.  Guarded to 14 terminals; raises on
+    unreachable terminals."""
     import numpy as np  # imported here so that the solver and CLI start without it
 
     terminals = sorted(inst.terminals)
@@ -108,24 +123,46 @@ def exact_opt_dp(inst: Instance) -> OptResult:
     dist_matrix = np.array(dist_all, dtype=dtype)  # [source-1][target-1]
 
     full = (1 << k) - 1
-    D: dict[int, np.ndarray] = {}
-    M: dict[int, np.ndarray] = {}
-    for i, t in enumerate(terminals):
-        D[1 << i] = dist_matrix[:, t - 1].copy()
+    D = np.empty((full + 1, n), dtype=dtype)
 
-    masks = sorted(range(1, full + 1), key=lambda m: m.bit_count())
-    for mask in masks:
-        if mask.bit_count() < 2:
-            continue
-        low = mask & -mask
-        best = np.full(n, big, dtype=dtype)
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low and sub != mask:
-                np.minimum(best, D[sub] + D[mask ^ sub], out=best)
-            sub = (sub - 1) & mask
-        M[mask] = best
-        D[mask] = np.min(dist_matrix + best[np.newaxis, :], axis=1)
+    def split_minima(masks, popcount: int):
+        """best[i][u] = min over the proper submasks `sub` of masks[i] that
+        hold its lowest bit of D[sub][u] + D[masks[i] ^ sub][u], capped at
+        `big`.  Every mask has `popcount` bits.  The splits are gathered in
+        chunks of at most _TEMP_ELEMENTS table entries."""
+        rest = masks & (masks - 1)
+        subs = (masks ^ rest)[:, np.newaxis]  # the lowest bit
+        for _ in range(popcount - 1):
+            bit = rest & -rest
+            rest = rest ^ bit
+            subs = np.concatenate((subs, subs | bit[:, np.newaxis]), axis=1)
+        subs = subs[:, :-1]  # every submask holding the lowest bit but the mask
+        best = np.full((len(masks), n), big, dtype=dtype)
+        step = max(1, _TEMP_ELEMENTS // (len(masks) * n))
+        for start in range(0, subs.shape[1], step):
+            part = subs[:, start : start + step]
+            sums = D[part] + D[masks[:, np.newaxis] ^ part]
+            np.minimum(best, sums.min(axis=1), out=best)
+        return best
+
+    for i, t in enumerate(terminals):
+        D[1 << i] = dist_matrix[:, t - 1]
+
+    all_masks = np.arange(full + 1, dtype=np.int64)
+    popcounts = np.zeros_like(all_masks)
+    for i in range(k):
+        popcounts += (all_masks >> i) & 1
+    for popcount in range(2, k + 1):
+        layer = all_masks[popcounts == popcount]
+        splits = (1 << (popcount - 1)) - 1
+        # A batch's split sums and its (batch, n, n) closure both fit in
+        # _TEMP_ELEMENTS; a mask with more splits than that goes alone and
+        # split_minima takes its splits in chunks.
+        rows = max(1, _TEMP_ELEMENTS // (n * max(splits, n)))
+        for start in range(0, len(layer), rows):
+            batch = layer[start : start + rows]
+            best = split_minima(batch, popcount)
+            D[batch] = (dist_matrix + best[:, np.newaxis, :]).min(axis=2)
 
     opt_scaled = int(D[full][inst.root - 1])
     if opt_scaled >= big:
@@ -140,7 +177,8 @@ def exact_opt_dp(inst: Instance) -> OptResult:
             t = terminals[mask.bit_length() - 1]
             arcs |= _path_arcs(parent_all, inst, v, t)
             continue
-        row = dist_matrix[v - 1] + M[mask]
+        best = split_minima(np.array([mask], dtype=np.int64), mask.bit_count())[0]
+        row = dist_matrix[v - 1] + best
         u = int(np.argmin(row)) + 1  # smallest node id among minima
         assert int(row[u - 1]) == value
         arcs |= _path_arcs(parent_all, inst, v, u)
@@ -148,7 +186,7 @@ def exact_opt_dp(inst: Instance) -> OptResult:
         sub = (mask - 1) & mask
         while sub:
             if sub & low and sub != mask:
-                if int(D[sub][u - 1]) + int(D[mask ^ sub][u - 1]) == int(M[mask][u - 1]):
+                if int(D[sub][u - 1]) + int(D[mask ^ sub][u - 1]) == int(best[u - 1]):
                     stack.append((sub, u))
                     stack.append((mask ^ sub, u))
                     break

@@ -1,10 +1,12 @@
 import random
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from qbdst.audit import (
+    exceeds_minor_free_bound,
     minor_free_ratio_bound,
     ratio_report,
     run_full,
@@ -188,6 +190,42 @@ def test_ratio_report_flags_planar_breach():
 
 def test_minor_free_threshold_monotone():
     assert minor_free_ratio_bound(4) < minor_free_ratio_bound(8)
+
+
+def _minor_free_bound_to_60_digits(r: int) -> Fraction:
+    if r & (r - 1) == 0:
+        return Fraction(2 * (8 * r * (r.bit_length() - 1) + 1))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Fraction(2 * (8 * r * (Decimal(r).ln() / Decimal(2).ln()) + 1))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+@pytest.mark.parametrize("offset", [Fraction(1, 1000), Fraction(1, 10**30)], ids=["1e-3", "1e-30"])
+def test_ratio_report_minor_free_breach_is_exact(r, offset):
+    # A float cannot tell ratios 10^-30 apart at this size; the exact test
+    # flags the ratio just above the bound and not the one just below.
+    bound = _minor_free_bound_to_60_digits(r)
+    inst = replace(parse_instance(FOUR_NODE), family="minor_free", minor_r=r)
+    sol, _ = solve(inst)
+    for ratio, breach in ((bound + offset, True), (bound - offset, False)):
+        fake = replace(sol, total_cost=ratio * sol.lower_bound)
+        report = ratio_report(inst, fake)
+        assert report.ratio_vs_lb == ratio
+        assert bool(report.breaches) is breach
+        assert exceeds_minor_free_bound(ratio, r) is breach
+
+
+def test_minor_free_bound_exact_near_ties():
+    # A ratio equal to an integer bound is no breach, and the closest
+    # small-denominator ratios to an irrational bound land on the right side.
+    assert not exceeds_minor_free_bound(Fraction(130), 4)
+    assert not exceeds_minor_free_bound(Fraction(34), 2)
+    for r in (3, 5, 6, 100):
+        bound = _minor_free_bound_to_60_digits(r)
+        for q in (10, 1000, 10**9):
+            ratio = bound.limit_denominator(q)
+            assert exceeds_minor_free_bound(ratio, r) is (ratio > bound)
 
 
 def test_run_full_bad_example_and_opt():

@@ -1,19 +1,22 @@
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qbdst.engine import solve
-from qbdst.gen import gen_bad_example
+from qbdst.gen import gen_bad_example, reduce_cvc
 from qbdst.instance import Arc, Instance, is_feasible, parse_instance
 from qbdst.oracle import (
     InfeasibleInstanceError,
     OracleGuardError,
+    _scaled_costs,
     exact_opt_brute,
     exact_opt_dp,
 )
 
-from conftest import FOUR_NODE, SINGLE_ARC, random_valid_instance
+from conftest import FOUR_NODE, SINGLE_ARC, random_connected_graph, random_valid_instance
 
 EPS = Fraction(1, 100)
 
@@ -37,9 +40,11 @@ def test_four_node_opt():
     assert exact_opt_brute(inst).opt_cost == 4
 
 
-def test_bad_example_opt_formula():
-    inst = gen_bad_example(3, EPS)
-    assert exact_opt_dp(inst).opt_cost == 3 + 1 + 5 * EPS
+@pytest.mark.parametrize("k", [3, 8, 12])
+def test_bad_example_opt_formula(k):
+    # k = 12 has 14 terminals, the guard limit.
+    inst = gen_bad_example(k, EPS)
+    assert exact_opt_dp(inst).opt_cost == k + 1 + (k + 2) * EPS
 
 
 def test_opt_arcs_realize_opt_cost():
@@ -80,6 +85,46 @@ def test_opt_invariant_under_arc_permutation():
             arcs=tuple(inst.arcs[i] for i in order),
         )
         assert exact_opt_dp(inst).opt_cost == exact_opt_dp(shuffled).opt_cost
+
+
+# sha256 of (opt_cost, sorted opt_arcs) for every instance below.  The
+# reconstruction's choice among equal-cost optima is pinned along with the
+# cost, so a change to the DP keeps this digest only if it returns the same
+# arcs.
+DP_DIGEST = "5db339c3d953b5ba9216c1f18989fcdf0ffe4dd4b743a5448873ae063ba83363"
+
+
+def test_dp_matches_pinned_digest():
+    rng = random.Random(20261018)
+    instances = [random_valid_instance(rng, max_nodes=7, max_arcs=24) for _ in range(200)]
+    instances += [gen_bad_example(k, Fraction(1, 7)) for k in range(2, 13)]
+    graph_rng = random.Random(20261019)
+    instances += [reduce_cvc(random_connected_graph(graph_rng, n, 12)) for n in (5, 6, 7, 8)]
+    digest = hashlib.sha256()
+    for inst in instances:
+        result = exact_opt_dp(inst)
+        digest.update(f"{result.opt_cost} {sorted(result.opt_arcs)}\n".encode())
+    assert digest.hexdigest() == DP_DIGEST
+
+
+def test_dp_object_dtype_fallback_equals_brute():
+    # Costs this large push 4 * big past 2^62, so the DP runs on Python ints.
+    rng = random.Random(55)
+    scale = 2**62 + Fraction(1, 3)
+    checked = 0
+    for _ in range(60):
+        inst = random_valid_instance(rng)
+        huge = replace(inst, arcs=tuple(a._replace(cost=a.cost * scale) for a in inst.arcs))
+        costs, _ = _scaled_costs(huge)
+        if 4 * (sum(costs) + 1) < 2**62:
+            continue  # every arc costs 0
+        dp = exact_opt_dp(huge)
+        assert dp.opt_cost == exact_opt_brute(huge).opt_cost
+        assert dp.opt_cost == exact_opt_dp(inst).opt_cost * scale
+        assert is_feasible(huge, dp.opt_arcs)
+        assert huge.cost_of(dp.opt_arcs) == dp.opt_cost
+        checked += 1
+    assert checked > 50
 
 
 def test_dp_terminal_guard():
