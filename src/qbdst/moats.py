@@ -76,7 +76,8 @@ BRUTE_NODE_LIMIT = 16
 @dataclass(frozen=True)
 class Moat:
     """An active moat: SCC core plus attached Steiner tails.  `vertices`
-    is its identity; its text name exists only in trace records."""
+    is its identity, in memory and in trace records; its text name exists
+    only in trace files."""
 
     core: frozenset[int]
     steiner_tails: frozenset[int]

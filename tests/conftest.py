@@ -38,11 +38,11 @@ def alive_report(trace: GrowthTrace) -> dict[int, dict[int, bool]]:
                 f"iteration {rec.index}: {len(alive)} alive terminals "
                 f"but {len(rec.moats)} active moats"
             )
-        for name, vertices in zip(rec.moats, rec.moat_sets):
+        for vertices in rec.moats:
             holders = vertices & alive
             if len(holders) != 1:
                 raise InvariantBreach(
-                    f"iteration {rec.index}: moat {name} holds "
+                    f"iteration {rec.index}: moat {sorted(vertices)} holds "
                     f"{len(holders)} alive terminals"
                 )
         report[rec.index] = {t: t in alive for t in sorted(trace.terminals)}

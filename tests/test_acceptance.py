@@ -111,8 +111,8 @@ def test_criterion_1_baseline_bad_example_gap():
     schedule_ok = True
     for k, (inst, _, trace) in runs.items():
         positive = [r for r in trace.iterations if r.epsilon > 0]
-        singletons = tuple(str(t) for t in sorted(inst.terminals))
-        b_lineage = ",".join(str(x) for x in [3, *range(5 + k, 5 + 2 * k)])
+        singletons = tuple(frozenset({t}) for t in sorted(inst.terminals))
+        b_lineage = frozenset({3, *range(5 + k, 5 + 2 * k)})
         fills: dict[int, Fraction] = {}
         for rec in trace.iterations:
             for p in rec.payments:
@@ -123,7 +123,7 @@ def test_criterion_1_baseline_bad_example_gap():
         ]
         schedule_ok = schedule_ok and (
             [(r.epsilon, r.moats) for r in positive]
-            == [(EPS, singletons), (1, ("2,4", b_lineage))]
+            == [(EPS, singletons), (1, (frozenset({2, 4}), b_lineage))]
             and len(singletons) == k + 2
             # the step the old pin got wrong: a->w_i is full after iteration 0
             and first_fan == [EPS] * k
@@ -298,7 +298,7 @@ def test_criterion_9_worked_example():
     ]
     omitted_step = (
         pinned_a2_load > inst.arcs[a2].cost
-        and Payment(a2, KILLER, "3", Fraction(1)) in trace.iterations[1].payments
+        and Payment(a2, KILLER, frozenset({3}), Fraction(1)) in trace.iterations[1].payments
         and trace.iterations[2].purchased == (a2, KILLER)
         and sum(a2_killer) == inst.arcs[a2].cost == 3
     )
@@ -314,7 +314,7 @@ def test_criterion_9_worked_example():
     purchases = tuple(r.purchased for r in trace.iterations)
     stated = (
         epsilons == (1, 1, 1)
-        and moats == (("2", "3"), ("3",), ("2,3",))
+        and moats == ((frozenset({2}), frozenset({3})), (frozenset({3}),), (frozenset({2, 3}),))
         and purchases == ((2, KILLER), (3, EXPANSION), (1, KILLER))
         and set(sol.final_arcs) == {1, 2}
         and sol.dual_total == 4

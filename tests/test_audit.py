@@ -81,9 +81,11 @@ def test_dual_feasibility_rejects_a_dual_set_that_is_no_cut(moat, flaw):
         root=inst.root,
         terminals=inst.terminals,
     )
-    trace.iterations.append(IterationRecord(0, Fraction(1, 9), ("2", "3"), (), (0, KILLER), ()))
+    singletons = (frozenset({2}), frozenset({3}))
+    trace.iterations.append(IterationRecord(0, Fraction(1, 9), singletons, (), (0, KILLER), ()))
     assert verify_dual_feasibility(inst, trace)[1]
-    trace.iterations.append(IterationRecord(1, Fraction(1, 9), (moat,), (), (1, KILLER), ()))
+    flawed = frozenset(map(int, moat.split(",")))
+    trace.iterations.append(IterationRecord(1, Fraction(1, 9), (flawed,), (), (1, KILLER), ()))
     assert not verify_dual_feasibility(inst, trace)[1], flaw
 
 

@@ -41,7 +41,7 @@ def test_compute_epsilon_single_payer():
     inst = parse_instance(SINGLE_ARC)
     _, trace = solve(inst)
     [rec] = trace.iterations
-    assert rec.payments == (Payment(0, KILLER, "2", Fraction(5)),)
+    assert rec.payments == (Payment(0, KILLER, frozenset({2}), Fraction(5)),)
     assert (rec.epsilon, rec.purchased) == (5, (0, KILLER))
 
 
@@ -57,11 +57,11 @@ def test_compute_epsilon_two_moats_split_one_bucket():
     assert [r.epsilon for r in trace.iterations] == [0, 0, Fraction(1, 2)]
     assert [r.purchased for r in trace.iterations[:2]] == [(0, ANTENNA), (1, ANTENNA)]
     rec = trace.iterations[2]
-    assert rec.moats == ("2,4", "3,4")
+    assert rec.moats == (frozenset({2, 4}), frozenset({3, 4}))
     half = Fraction(1, 2)
     assert [p for p in rec.payments if p.arc == 2] == [
-        Payment(2, KILLER, "2,4", half),
-        Payment(2, KILLER, "3,4", half),
+        Payment(2, KILLER, frozenset({2, 4}), half),
+        Payment(2, KILLER, frozenset({3, 4}), half),
     ]
     assert rec.purchased == (2, KILLER)
 
@@ -77,11 +77,11 @@ def test_payers_written_in_name_order():
     )
     sol, trace = solve(inst)
     rec = trace.iterations[2]
-    assert rec.moats == ("9,11", "10,11")
+    assert rec.moats == (frozenset({9, 11}), frozenset({10, 11}))
     half = Fraction(1, 2)
     assert [p for p in rec.payments if p.arc == 2] == [
-        Payment(2, KILLER, "10,11", half),
-        Payment(2, KILLER, "9,11", half),
+        Payment(2, KILLER, frozenset({10, 11}), half),
+        Payment(2, KILLER, frozenset({9, 11}), half),
     ]
     # A trace whose payments follow the text-order rule audits clean.
     rows = [json.loads(line) for line in _trace_text(trace).splitlines()]
@@ -99,11 +99,11 @@ def test_compute_epsilon_partial_fill_and_tight_list():
     inst = parse_instance(FOUR_NODE)
     _, trace = solve(inst)
     first, second = trace.iterations[:2]
-    assert Payment(1, KILLER, "3", Fraction(1)) in first.payments
+    assert Payment(1, KILLER, frozenset({3}), Fraction(1)) in first.payments
     assert second.epsilon == 1
     assert second.payments == (
-        Payment(1, KILLER, "3", Fraction(1)),
-        Payment(3, EXPANSION, "3", Fraction(1)),
+        Payment(1, KILLER, frozenset({3}), Fraction(1)),
+        Payment(3, EXPANSION, frozenset({3}), Fraction(1)),
     )
     assert second.purchased == (3, EXPANSION)
     a2_killer = sum(p.amount for rec in (first, second) for p in rec.payments if p.arc == 1)
@@ -134,7 +134,11 @@ def test_solve_four_node_worked_trace():
         (1, KILLER),
     ]
     assert [r.kills for r in trace.iterations] == [(2,), (), (3,)]
-    assert [r.moats for r in trace.iterations] == [("2", "3"), ("3",), ("2,3",)]
+    assert [r.moats for r in trace.iterations] == [
+        (frozenset({2}), frozenset({3})),
+        (frozenset({3}),),
+        (frozenset({2, 3}),),
+    ]
     assert sol.final_arcs == (2, 1)
     assert sol.total_cost == 4
     assert sol.dual_total == 4
@@ -240,7 +244,7 @@ def test_alive_report_detects_tampering():
 TRACE_DIGEST = "558e7ea51507a17e694c4e3bb793ff6476c65bf556356a92a534fa132f6247c2"
 
 
-def test_traces_match_pinned_digest():
+def _digest_corpus():
     # The acceptance corpus, larger chains and grids, and a seeded batch of
     # feasible random quasi-bipartite instances.
     instances = [inst for _, inst in acceptance_corpus()]
@@ -252,9 +256,12 @@ def test_traces_match_pinned_digest():
     batch = [random_qb_instance(rng, max_nodes=10, arc_prob=0.4) for _ in range(300)]
     feasible = [inst for inst in batch if not validate(inst)]
     assert len(feasible) > 150
-    instances += feasible
+    return instances + feasible
+
+
+def test_traces_match_pinned_digest():
     digest = hashlib.sha256()
-    for inst in instances:
+    for inst in _digest_corpus():
         for mode in MODES:
             digest.update(_trace_text(grow(inst, mode)).encode("utf-8"))
     assert digest.hexdigest() == TRACE_DIGEST
@@ -264,16 +271,21 @@ def test_trace_round_trip_and_determinism():
     inst = gen_bad_example(4, EPS)
     _, trace_a = solve(inst)
     _, trace_b = solve(inst)
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_trace(trace_a, buf_a)
-    write_trace(trace_b, buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    assert _trace_text(trace_a) == _trace_text(trace_b)
 
-    loaded = read_trace(io.StringIO(buf_a.getvalue()))
-    assert loaded.mode == trace_a.mode
-    assert loaded.instance_hash == trace_a.instance_hash
-    assert loaded.iterations == trace_a.iterations
-    assert loaded.duals == trace_a.duals
+    # Records hold moats as vertex sets and files hold names, so reading a
+    # written trace must give back equal records, duals and bytes.  The
+    # corpus has buckets with several payers, written in name order as text.
+    for inst in _digest_corpus():
+        for mode in MODES:
+            trace = grow(inst, mode)
+            text = _trace_text(trace)
+            loaded = read_trace(io.StringIO(text))
+            assert loaded.mode == trace.mode
+            assert loaded.instance_hash == trace.instance_hash
+            assert loaded.iterations == trace.iterations
+            assert loaded.duals == trace.duals
+            assert _trace_text(loaded) == text
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])
@@ -486,14 +498,14 @@ def test_zero_epsilon_shortcut_matches_full_minimum(monkeypatch):
     def checked(inst, fills, payers):
         nonlocal mixed
         fill_at = {
-            (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((kind, arc_id), 0))
+            (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((arc_id, kind), 0))
             / len(paying)
             for (arc_id, kind), paying in payers.items()
         }
         epsilon = min(fill_at.values())
         tight = sorted(bucket for bucket, growth in fill_at.items() if growth == epsilon)
         assert fast(inst, fills, payers) == (epsilon, tight)
-        full = [(arc_id, kind) for arc_id, kind in tight if (kind, arc_id) in fills]
+        full = [bucket for bucket in tight if bucket in fills]
         mixed += 0 < len(full) < len(tight)
         return epsilon, tight
 
