@@ -76,9 +76,12 @@ def parse_undirected(text: str) -> UndirectedGraph:
         fields = line.split()
         keyword = fields[0].upper()
         if keyword == "NODES":
-            if node_count is not None or len(fields) != 2 or not fields[1].isdigit():
+            if node_count is not None or len(fields) != 2:
                 raise ParseError(f"line {lineno}: bad NODES record")
-            node_count = int(fields[1])
+            try:
+                node_count = int(fields[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad NODES record") from None
         elif keyword == "EDGE":
             if len(fields) != 3:
                 raise ParseError(f"line {lineno}: EDGE expects <u> <v>")

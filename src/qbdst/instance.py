@@ -123,9 +123,12 @@ def parse_instance(text: str) -> Instance:
         if keyword == "NODES":
             if node_count is not None:
                 raise err(lineno, "duplicate NODES section")
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1:
                 raise err(lineno, "NODES expects one integer")
-            node_count = int(args[0])
+            try:
+                node_count = int(args[0])
+            except ValueError:
+                raise err(lineno, "NODES expects one integer") from None
         elif keyword == "ROOT":
             if root is not None:
                 raise err(lineno, "duplicate ROOT section")
@@ -147,11 +150,15 @@ def parse_instance(text: str) -> Instance:
                 raise err(lineno, "FAMILY expects a tag")
             tag = args[0]
             if tag == FAMILY_MINOR_FREE:
-                if len(args) != 2 or not args[1].isdigit():
+                if len(args) != 2:
                     raise err(lineno, "FAMILY minor_free expects an integer r")
-                if int(args[1]) < 2:
+                try:
+                    minor_r = int(args[1])
+                except ValueError:
+                    raise err(lineno, "FAMILY minor_free expects an integer r") from None
+                if minor_r < 2:
                     raise err(lineno, f"FAMILY minor_free needs r >= 2, got {args[1]}")
-                family, minor_r = FAMILY_MINOR_FREE, int(args[1])
+                family = FAMILY_MINOR_FREE
             elif tag in (FAMILY_PLANAR_BIPARTITE, FAMILY_UNKNOWN):
                 if len(args) != 1:
                     raise err(lineno, f"FAMILY {tag} takes no parameter")
@@ -277,16 +284,12 @@ class ArcGraph:
 
 
 def reachable(
-    inst: Instance,
-    sources: Iterable[int],
-    arc_ids: Iterable[int] | None = None,
-    backward: bool = False,
+    inst: Instance, sources: Iterable[int], arc_ids: Iterable[int] | None = None
 ) -> set[int]:
     """The sources and every node reachable from them over the given arc
-    subset (default: all arcs); with `backward`, every node that reaches
-    them instead."""
+    subset (default: all arcs)."""
     ids = range(len(inst.arcs)) if arc_ids is None else arc_ids
-    return ArcGraph(inst, ids).reach(sources, backward)
+    return ArcGraph(inst, ids).reach(sources)
 
 
 def is_feasible(inst: Instance, arc_ids: Iterable[int]) -> bool:

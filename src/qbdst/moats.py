@@ -3,10 +3,11 @@ and per-arc role classification.
 
 A set S (no root, containing a terminal) is violated w.r.t. purchased arcs
 F when no F-arc enters it; an active moat is an inclusion-minimal violated
-set.  In quasi-bipartite graphs every active moat is one SCC (the core)
-plus the Steiner nodes that have an F-arc into that core, and the moat is
-active exactly when nothing in F enters core-plus-tails.  `active_moats`
-uses that closed form; `enumerate_minimal_violated_brute` is the
+set.  In quasi-bipartite graphs one rule, `_moat`, gives every moat: an
+SCC C of F (the core) that excludes the root and holds a terminal, plus
+the Steiner nodes with an F-arc into C, provided no F-arc enters that
+union.  `active_moats` applies it to every SCC of F, `moats_after` to the
+one SCC a purchase can change; `enumerate_minimal_violated_brute` is the
 independent subset-enumeration oracle guarding it.
 
 The survival rule is `survivors`: a moat outlives a purchase when its
@@ -48,13 +49,13 @@ of rebuilding every SCC.  Let F' = F + {u->v}:
    is not Steiner and lies in D, and then v joins D's SCC in F': v would
    be in D after all.  So M does not contain v, and step 1 applies.
 
-The moats of F' are therefore the moats of F without v, plus S with its
-Steiner tails when S excludes the root, holds a terminal and no F'-arc
-enters it.  S is v's forward reach in F' intersected with its backward
-reach, two searches over the adjacency of F' that the growth loop keeps
-(`instance.ArcGraph`), so each costs only the nodes and arcs it visits.
-S's Steiner tails, and the test whether an F'-arc enters S with its
-tails, read only the in-arcs of those vertices, never all of F'.
+The moats of F' are therefore the moats of F without v, plus `_moat` of
+S when that is a moat.  S is v's forward reach in F' intersected with
+its backward reach, two searches over the adjacency of F' that the
+growth loop keeps (`instance.ArcGraph`), so each costs only the nodes
+and arcs it visits.  S's Steiner tails, and the test whether an F'-arc
+enters S with its tails, read only the in-arcs of those vertices, never
+all of F'.
 """
 
 from __future__ import annotations
@@ -87,13 +88,14 @@ class Moat:
         return self.core | self.steiner_tails
 
 
-def _components(node_count: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """All strongly connected components (Kosaraju), including singletons."""
+def _components(node_count: int, into: dict[int, list[int]]) -> list[set[int]]:
+    """All strongly connected components (Kosaraju), including singletons,
+    of the arcs `into` lists: `into[w]` holds the tails of the arcs
+    entering w."""
     adj: list[list[int]] = [[] for _ in range(node_count + 1)]
-    radj: list[list[int]] = [[] for _ in range(node_count + 1)]
-    for tail, head in arcs:
-        adj[tail].append(head)
-        radj[head].append(tail)
+    for head, tails in into.items():
+        for tail in tails:
+            adj[tail].append(head)
 
     order: list[int] = []
     seen = [False] * (node_count + 1)
@@ -114,76 +116,50 @@ def _components(node_count: int, arcs: Iterable[tuple[int, int]]) -> list[list[i
                 order.append(v)
                 stack.pop()
 
-    comp_of = [0] * (node_count + 1)
-    comps: list[list[int]] = []
+    comps: list[set[int]] = []
     assigned = [False] * (node_count + 1)
     for start in reversed(order):
         if assigned[start]:
             continue
-        comp = []
         assigned[start] = True
+        comp = {start}
         work = [start]
         while work:
-            v = work.pop()
-            comp.append(v)
-            comp_of[v] = len(comps)
-            for w in radj[v]:
-                if not assigned[w]:
-                    assigned[w] = True
-                    work.append(w)
-        comps.append(sorted(comp))
+            for u in into.get(work.pop(), ()):
+                if not assigned[u]:
+                    assigned[u] = True
+                    comp.add(u)
+                    work.append(u)
+        comps.append(comp)
     return comps
 
 
-def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:
-    """The minimal violated sets w.r.t. the purchased arc set.
-
-    For each non-root SCC core C, form A = C plus every Steiner node with a
-    purchased arc into C; A is a moat iff no purchased arc enters A.
-    Ordered ascending by the sorted vertex list.
-    """
-    farcs = [inst.arcs[i] for i in purchased]
-    pairs = [(a.tail, a.head) for a in farcs]
-
-    candidates: list[set[int]] = []
-    cores: list[frozenset[int]] = []
-    member_of: dict[int, int] = {}
-    for comp in _components(inst.node_count, pairs):
-        if inst.root in comp:
-            continue
-        if not any(v in inst.terminals for v in comp):
-            continue
-        idx = len(candidates)
-        candidates.append(set(comp))
-        cores.append(frozenset(comp))
-        for v in comp:
-            member_of[v] = idx
-
-    # Attach Steiner tails: quasi-bipartiteness means tails connect
-    # directly to the core, never through another Steiner node.
-    for arc in farcs:
-        idx = member_of.get(arc.head)
-        if idx is not None and inst.is_steiner(arc.tail) and arc.tail not in cores[idx]:
-            candidates[idx].add(arc.tail)
-
-    # One pass over F marks the candidates an F-arc enters.
-    holders: dict[int, list[int]] = {}
-    for idx, cand in enumerate(candidates):
-        for v in cand:
-            holders.setdefault(v, []).append(idx)
-    entered = {
-        idx
-        for arc in farcs
-        for idx in holders.get(arc.head, ())
-        if arc.tail not in candidates[idx]
+def _moat(inst: Instance, core: set[int], into: dict[int, list[int]]) -> Moat | None:
+    """The moat whose core is `core`, an SCC of F, or None; `into[w]`
+    lists the tails of the F-arcs entering w.  The core must exclude the
+    root and hold a terminal.  Its Steiner tails are the Steiner nodes with
+    an F-arc into it (quasi-bipartiteness: never through another Steiner
+    node), and core plus tails is a moat exactly when no F-arc enters it."""
+    if inst.root in core or core.isdisjoint(inst.terminals):
+        return None
+    tails = {
+        u for w in core for u in into.get(w, ()) if u not in core and inst.is_steiner(u)
     }
-    moats = [
-        Moat(core=core, steiner_tails=frozenset(cand - core))
-        for idx, (cand, core) in enumerate(zip(candidates, cores))
-        if idx not in entered
-    ]
-    moats.sort(key=_order)
-    return moats
+    vertices = core | tails
+    if any(u not in vertices for w in vertices for u in into.get(w, ())):
+        return None
+    return Moat(core=frozenset(core), steiner_tails=frozenset(tails))
+
+
+def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:
+    """The minimal violated sets w.r.t. the purchased arc set F: `_moat` of
+    every SCC of F.  Ordered ascending by the sorted vertex list."""
+    into: dict[int, list[int]] = {}
+    for arc_id in purchased:
+        tail, head, _ = inst.arcs[arc_id]
+        into.setdefault(head, []).append(tail)
+    found = (_moat(inst, core, into) for core in _components(inst.node_count, into))
+    return sorted((m for m in found if m is not None), key=_order)
 
 
 def _order(moat: Moat) -> list[int]:
@@ -198,23 +174,16 @@ def moats_after(
     the arc already added, and `moats`, the active moats of F; equal to
     `active_moats(inst, bought.ids)`.
 
-    The moats that do not hold the arc's head v are kept, and the SCC of v
-    in F + {arc} is the one new candidate (the module docstring gives the
-    proof).  Ordered as `active_moats`.
+    The moats that do not hold the arc's head v are kept, and `_moat` of
+    the SCC of v in F + {arc} is the one new candidate (the module
+    docstring gives the proof).  Ordered as `active_moats`.
     """
     v = inst.arcs[arc_id].head
     kept = [m for m in moats if v not in m.vertices]
     core = bought.reach([v]) & bought.reach([v], backward=True)
-    if inst.root in core or core.isdisjoint(inst.terminals):
-        return kept
-    into = bought.tails
-    tails = {
-        u for w in core for u in into.get(w, ()) if u not in core and inst.is_steiner(u)
-    }
-    vertices = core | tails
-    if any(u not in vertices for w in vertices for u in into.get(w, ())):
-        return kept
-    insort(kept, Moat(core=frozenset(core), steiner_tails=frozenset(tails)), key=_order)
+    moat = _moat(inst, core, bought.tails)
+    if moat is not None:
+        insort(kept, moat, key=_order)
     return kept
 
 

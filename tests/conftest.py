@@ -55,9 +55,10 @@ def random_qb_instance(
     max_nodes: int = 10,
     arc_prob: float = 0.3,
     cost_hi: int = 5,
+    min_nodes: int = 2,
 ) -> Instance:
     """Random quasi-bipartite digraph; not necessarily feasible."""
-    n = rng.randint(2, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
     terminals = frozenset(v for v in range(2, n + 1) if rng.random() < 0.5)
     if not terminals:
         terminals = frozenset([rng.randint(2, n)])

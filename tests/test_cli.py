@@ -496,6 +496,40 @@ def test_bench_rejects_non_directory(tmp_path, capsys, bad):
     assert captured.err == f"error: {path} is not a directory\n"
 
 
+# Counts written with digits that str.isdigit() accepts and int() rejects.
+NODES_SUPERSCRIPT = "NODES ²\nROOT 1\nTERMINALS 2\nARC 1 2 1\nEND\n"
+MINOR_FREE_SUPERSCRIPT = "NODES 2\nROOT 1\nTERMINALS 2\nFAMILY minor_free ³\nARC 1 2 1\nEND\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("solve", NODES_SUPERSCRIPT, "line 1: NODES expects one integer"),
+        ("solve", MINOR_FREE_SUPERSCRIPT, "line 4: FAMILY minor_free expects an integer r"),
+        ("gen reduce", "NODES ²\nEDGE 1 2\nEND\n", "line 1: bad NODES record"),
+        ("bench", NODES_SUPERSCRIPT, "line 1: NODES expects one integer"),
+        ("bench", MINOR_FREE_SUPERSCRIPT, "line 4: FAMILY minor_free expects an integer r"),
+    ],
+    ids=["solve_nodes", "solve_minor_free", "gen_reduce_nodes", "bench_nodes", "bench_minor_free"],
+)
+def test_non_ascii_digit_counts_are_parse_errors(tmp_path, capsys, command, text, message):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    path = bench / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    if command == "bench":
+        # bench reports a bad file on its own line and goes on.
+        assert cli.main(["bench", str(bench)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"bad.txt error {path}: {message}" in captured.out.splitlines()
+        return
+    assert cli.main([*command.split(), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_unwritable_trace_leaves_stdout_empty(tmp_path, capsys, four_node_file):
     out = tmp_path / "no_such_dir" / "t.jsonl"
     assert cli.main(["solve", str(four_node_file), "--audit", "--trace", str(out)]) == 1

@@ -193,8 +193,8 @@ def test_reachable_from_several_sources_over_arc_subset():
     # All arcs by default; nothing leads back to the root.
     assert reachable(inst, [4, 2]) == {2, 3, 4, 5, 6}
     # Backward: the nodes that reach the sources.
-    assert reachable(inst, [5], backward=True) == {1, 2, 3, 4, 5}
-    assert reachable(inst, [6, 3], [1, 3], backward=True) == {2, 3, 5, 6}
+    assert ArcGraph(inst, range(len(inst.arcs))).reach([5], backward=True) == {1, 2, 3, 4, 5}
+    assert ArcGraph(inst, [1, 3]).reach([6, 3], backward=True) == {2, 3, 5, 6}
 
 
 def _closure(inst, arc_ids, sources, backward):

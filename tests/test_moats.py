@@ -145,16 +145,21 @@ def test_classify_arc_entering_no_moat_is_empty():
     assert classify_arc(inst, ArcGraph(inst), moats, 0) == []
 
 
-def test_active_moats_equals_brute_oracle_seeded():
+@pytest.mark.parametrize(
+    "count, min_nodes, max_nodes",
+    [(200, 2, 10), (40, 11, 14)],
+    ids=["up_to_10_nodes", "11_to_14_nodes"],
+)
+def test_active_moats_equals_brute_oracle_seeded(count, min_nodes, max_nodes):
     rng = random.Random(20250810)
-    for _ in range(200):
-        inst = random_qb_instance(rng)
+    for _ in range(count):
+        inst = random_qb_instance(rng, max_nodes=max_nodes, min_nodes=min_nodes)
         arc_count = len(inst.arcs)
         purchased = frozenset(
             i for i in range(arc_count) if rng.random() < 0.4
         )
-        fast = sorted(m.vertices for m in active_moats(inst, purchased))
-        brute = sorted(enumerate_minimal_violated_brute(inst, purchased))
+        fast = sorted((m.vertices for m in active_moats(inst, purchased)), key=sorted)
+        brute = sorted(enumerate_minimal_violated_brute(inst, purchased), key=sorted)
         assert fast == brute
 
 
