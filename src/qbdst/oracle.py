@@ -4,16 +4,23 @@
 directed shortest-path distances; `exact_opt_brute` enumerates arc
 subsets.  Both are exact, so their agreement on random instances is the
 cross-check property the tests lean on.  Costs stay exact: every rational
-is scaled by the common denominator and the DP runs on integers (int64,
-or Python ints in an object array when sums could come near 2^63).
+is scaled by the common denominator and the DP runs on integers.  No
+entry or sum exceeds 2 * big (big is the scaled cost total plus one), so
+the table uses the narrowest signed integer type that holds 4 * big, or
+Python ints in an object array once 4 * big reaches 2^62.  Unit-cost
+instances thus fill an int16 table.
 
-The DP fills its (2^k, n) table one popcount layer at a time: each numpy
-operation handles a batch of masks with all of their splits, so no Python
-loop runs per (mask, submask) pair.  The per-mask split minima are not
-kept; the reconstruction recomputes them for the at most 2k-1 masks it
-visits.  No temporary array is larger than _TEMP_ELEMENTS entries or the
-n x n distance matrix, so memory beyond the table does not grow with the
-3^k splits.
+The DP fills its (2^k, n) table one popcount layer at a time, with no
+Python loop per (mask, submask) pair.  A layer's masks go in groups: one
+product of the masks' bits with the layer's bit pattern gives a group's
+split indices, and numpy gathers the two halves' rows and takes the
+minima.  The per-mask split minima are not kept; the reconstruction
+recomputes them with the same helpers for the at most 2k-1 masks it
+visits.  A group's split indices, a gather and a closure batch each hold
+at most _TEMP_ELEMENTS entries, or one mask's splits, one table row or
+the n x n distance matrix when those are larger; the largest other
+temporary is one layer's (popcount - 1) x 2^(popcount - 1) bit pattern.
+Memory beyond the table thus does not grow with the 3^k splits.
 """
 
 from __future__ import annotations
@@ -99,11 +106,14 @@ def _path_arcs(parent_all: list[list[int]], inst: Instance, source: int, target:
 def exact_opt_dp(inst: Instance) -> OptResult:
     """Terminal-subset DP: D[S][v] is the cheapest way to reach every
     terminal of S from v, built by splitting S at v and walking shortest
-    paths.  D is one (2^k, n) table filled one popcount layer at a time,
-    a batch of masks per array operation, with bounded temporaries; the
-    split minima are not stored, and the reconstruction recomputes them
-    for the masks it visits.  Guarded to 14 terminals; raises on
-    unreachable terminals."""
+    paths.  D is one (2^k, n) table in the narrowest signed integer type
+    that holds 4 * big, filled one popcount layer at a time.  Each group
+    of a layer's masks gets its split indices from one product with the
+    layer's bit pattern; the gathers and the closure over the distance
+    matrix then run in batches of bounded size.  The split minima are not
+    stored: the reconstruction recomputes them with the fill's helpers for
+    the masks it visits.  Guarded to 14 terminals; raises on unreachable
+    terminals."""
     import numpy as np  # imported here so that the solver and CLI start without it
 
     terminals = sorted(inst.terminals)
@@ -116,53 +126,75 @@ def exact_opt_dp(inst: Instance) -> OptResult:
     costs, scale = _scaled_costs(inst)
     big = sum(costs) + 1
     n = inst.node_count
-    # int64 is fine while sums stay far from 2^63; fall back to exact
-    # Python ints (object dtype) for extreme cost magnitudes.
-    dtype = np.int64 if 4 * big < 2**62 else object
+    # Every entry is at most big and every sum at most 2 * big, so the
+    # narrowest signed type that holds 4 * big is exact; beyond 2^62 the
+    # table holds Python ints (object dtype).
+    dtype = np.min_scalar_type(-4 * big) if 4 * big < 2**62 else object
     dist_all, parent_all = _dijkstra_all(inst, costs, big)
     dist_matrix = np.array(dist_all, dtype=dtype)  # [source-1][target-1]
 
     full = (1 << k) - 1
     D = np.empty((full + 1, n), dtype=dtype)
 
-    def split_minima(masks, popcount: int):
-        """best[i][u] = min over the proper submasks `sub` of masks[i] that
-        hold its lowest bit of D[sub][u] + D[masks[i] ^ sub][u], capped at
-        `big`.  Every mask has `popcount` bits.  The splits are gathered in
-        chunks of at most _TEMP_ELEMENTS table entries."""
-        rest = masks & (masks - 1)
-        subs = (masks ^ rest)[:, np.newaxis]  # the lowest bit
-        for _ in range(popcount - 1):
-            bit = rest & -rest
-            rest = rest ^ bit
-            subs = np.concatenate((subs, subs | bit[:, np.newaxis]), axis=1)
-        subs = subs[:, :-1]  # every submask holding the lowest bit but the mask
+    def split_pattern(popcount: int):
+        """pattern[j][c] is bit j of c, for the splits c of a mask with
+        `popcount` bits: all but the last of 2^(popcount-1) columns."""
+        shifts = np.arange(popcount - 1, dtype=np.int32)[:, np.newaxis]
+        pattern = np.arange((1 << (popcount - 1)) - 1, dtype=np.int32) >> shifts
+        pattern &= 1  # in place: at the top layers this is the largest temporary
+        return pattern
+
+    def submasks(masks, pattern):
+        """subs[i] lists the proper submasks of masks[i] that hold its
+        lowest bit, in increasing order: column c adds the mask's (j+2)-th
+        lowest bit wherever pattern[j][c] is 1."""
+        bits = np.empty((len(masks), len(pattern) + 1), dtype=np.int32)
+        rest = masks
+        for j in range(bits.shape[1]):
+            bits[:, j] = rest & -rest
+            rest = rest ^ bits[:, j]
+        return bits[:, :1] + bits[:, 1:] @ pattern
+
+    def split_minima(masks, subs):
+        """best[i][u] = min over the submasks subs[i] of masks[i] of
+        D[sub][u] + D[masks[i] ^ sub][u], capped at `big`.  Each gather
+        takes at most _TEMP_ELEMENTS table entries: several masks with all
+        their splits, or one mask's splits in chunks."""
         best = np.full((len(masks), n), big, dtype=dtype)
-        step = max(1, _TEMP_ELEMENTS // (len(masks) * n))
-        for start in range(0, subs.shape[1], step):
-            part = subs[:, start : start + step]
-            sums = D[part] + D[masks[:, np.newaxis] ^ part]
-            np.minimum(best, sums.min(axis=1), out=best)
+        rows = max(1, _TEMP_ELEMENTS // (n * subs.shape[1]))
+        step = max(1, _TEMP_ELEMENTS // (rows * n))
+        for row in range(0, len(masks), rows):
+            out = best[row : row + rows]
+            for start in range(0, subs.shape[1], step):
+                part = subs[row : row + rows, start : start + step]
+                sums = D[part] + D[masks[row : row + rows, np.newaxis] ^ part]
+                np.minimum(out, sums.min(axis=1), out=out)
         return best
+
+    # The closure's (masks, n, n) sums hold at most _TEMP_ELEMENTS entries
+    # or one n x n matrix.
+    closure = max(1, _TEMP_ELEMENTS // (n * n))
+
+    def fill_layer(layer, popcount: int) -> None:
+        """D[mask] for the masks of one popcount layer, in groups whose
+        split indices and split minima hold at most _TEMP_ELEMENTS entries;
+        a mask with more splits than that goes alone."""
+        pattern = split_pattern(popcount)
+        group = max(1, _TEMP_ELEMENTS // max(pattern.shape[1], n))
+        for start in range(0, len(layer), group):
+            masks = layer[start : start + group]
+            best = split_minima(masks, submasks(masks, pattern))
+            for row in range(0, len(masks), closure):
+                sums = dist_matrix + best[row : row + closure, np.newaxis, :]
+                D[masks[row : row + closure]] = sums.min(axis=2)
 
     for i, t in enumerate(terminals):
         D[1 << i] = dist_matrix[:, t - 1]
-
-    all_masks = np.arange(full + 1, dtype=np.int64)
-    popcounts = np.zeros_like(all_masks)
-    for i in range(k):
-        popcounts += (all_masks >> i) & 1
+    popcounts = np.zeros(1, dtype=np.int8)
+    for _ in range(k):
+        popcounts = np.concatenate((popcounts, popcounts + 1))
     for popcount in range(2, k + 1):
-        layer = all_masks[popcounts == popcount]
-        splits = (1 << (popcount - 1)) - 1
-        # A batch's split sums and its (batch, n, n) closure both fit in
-        # _TEMP_ELEMENTS; a mask with more splits than that goes alone and
-        # split_minima takes its splits in chunks.
-        rows = max(1, _TEMP_ELEMENTS // (n * max(splits, n)))
-        for start in range(0, len(layer), rows):
-            batch = layer[start : start + rows]
-            best = split_minima(batch, popcount)
-            D[batch] = (dist_matrix + best[:, np.newaxis, :]).min(axis=2)
+        fill_layer(np.flatnonzero(popcounts == popcount).astype(np.int32), popcount)
 
     opt_scaled = int(D[full][inst.root - 1])
     if opt_scaled >= big:
@@ -177,22 +209,21 @@ def exact_opt_dp(inst: Instance) -> OptResult:
             t = terminals[mask.bit_length() - 1]
             arcs |= _path_arcs(parent_all, inst, v, t)
             continue
-        best = split_minima(np.array([mask], dtype=np.int64), mask.bit_count())[0]
+        masks = np.array([mask], dtype=np.int32)
+        subs = submasks(masks, split_pattern(mask.bit_count()))
+        best = split_minima(masks, subs)[0]
         row = dist_matrix[v - 1] + best
         u = int(np.argmin(row)) + 1  # smallest node id among minima
-        assert int(row[u - 1]) == value
+        if int(row[u - 1]) != value:
+            raise AssertionError("table entry differs from its recomputed minimum")
         arcs |= _path_arcs(parent_all, inst, v, u)
-        low = mask & -mask
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low and sub != mask:
-                if int(D[sub][u - 1]) + int(D[mask ^ sub][u - 1]) == int(best[u - 1]):
-                    stack.append((sub, u))
-                    stack.append((mask ^ sub, u))
-                    break
-            sub = (sub - 1) & mask
-        else:
+        subs = subs[0]
+        hits = np.flatnonzero(D[subs, u - 1] + D[mask ^ subs, u - 1] == best[u - 1])
+        if not len(hits):
             raise AssertionError("split reconstruction failed")
+        sub = int(subs[hits[-1]])  # the largest split that attains the minimum
+        stack.append((sub, u))
+        stack.append((mask ^ sub, u))
 
     return OptResult(Fraction(opt_scaled, scale), frozenset(arcs), "subset_dp")
 

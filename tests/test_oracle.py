@@ -1,10 +1,13 @@
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qbdst import oracle
 from qbdst.engine import solve
 from qbdst.gen import gen_bad_example, reduce_cvc
 from qbdst.instance import Arc, Instance, is_feasible, parse_instance
@@ -94,17 +97,89 @@ def test_opt_invariant_under_arc_permutation():
 DP_DIGEST = "5db339c3d953b5ba9216c1f18989fcdf0ffe4dd4b743a5448873ae063ba83363"
 
 
-def test_dp_matches_pinned_digest():
+def _dp_digest_corpus() -> list[Instance]:
     rng = random.Random(20261018)
     instances = [random_valid_instance(rng, max_nodes=7, max_arcs=24) for _ in range(200)]
     instances += [gen_bad_example(k, Fraction(1, 7)) for k in range(2, 13)]
     graph_rng = random.Random(20261019)
     instances += [reduce_cvc(random_connected_graph(graph_rng, n, 12)) for n in (5, 6, 7, 8)]
+    return instances
+
+
+def _dp_digest(results) -> str:
     digest = hashlib.sha256()
-    for inst in instances:
-        result = exact_opt_dp(inst)
+    for result in results:
         digest.update(f"{result.opt_cost} {sorted(result.opt_arcs)}\n".encode())
-    assert digest.hexdigest() == DP_DIGEST
+    return digest.hexdigest()
+
+
+def test_dp_matches_pinned_digest():
+    assert _dp_digest(map(exact_opt_dp, _dp_digest_corpus())) == DP_DIGEST
+
+
+def test_dp_digest_holds_with_tiny_temporaries(monkeypatch):
+    # A tiny bound sends the pinned corpus through the chunked splits and
+    # the multi-group layers, which at the default bound only the instances
+    # with 11 or more terminals reach.  32 entries does so from 5 terminals
+    # up; above 10 terminals it would take minutes, so those instances run
+    # at 4096, which still reaches both branches there.
+    def run(inst):
+        bound = 32 if len(inst.terminals) <= 10 else 4096
+        monkeypatch.setattr(oracle, "_TEMP_ELEMENTS", bound)
+        return exact_opt_dp(inst)
+
+    assert _dp_digest(map(run, _dp_digest_corpus())) == DP_DIGEST
+
+
+@pytest.mark.parametrize("bits", [7, 15, 31])
+def test_dp_at_dtype_boundaries_equals_brute(bits):
+    # The table's dtype is the narrowest signed type holding 4 * big, so it
+    # widens where 4 * big passes 2^bits.  Integer multiples of each
+    # instance's scaled costs put 4 * big at or just below that point, and
+    # just above it.
+    rng = random.Random(56 + bits)
+    checked = 0
+    for _ in range(60):
+        inst = random_valid_instance(rng)
+        costs, scale = _scaled_costs(inst)
+        total = sum(costs)
+        if not 0 < total < 2 ** (bits - 2):
+            continue
+        below = (2 ** (bits - 2) - 1) // total
+        opt = exact_opt_dp(inst).opt_cost
+        for factor in (below, below + 1):
+            scaled = replace(
+                inst, arcs=tuple(a._replace(cost=a.cost * scale * factor) for a in inst.arcs)
+            )
+            dp = exact_opt_dp(scaled)
+            assert dp.opt_cost == exact_opt_brute(scaled).opt_cost
+            assert dp.opt_cost == opt * scale * factor
+            assert is_feasible(scaled, dp.opt_arcs)
+            assert scaled.cost_of(dp.opt_arcs) == dp.opt_cost
+        big_below = below * total + 1
+        assert 4 * big_below <= 2**bits < 4 * (big_below + total)
+        checked += 1
+    assert checked > 20
+
+
+def test_dp_temporaries_stay_bounded():
+    # Beyond its (2^k, n) table the DP holds only bounded temporaries.  On
+    # the 14-terminal bad example (a 2^14 x 28 table) the excess is about
+    # 4.8 units of _TEMP_ELEMENTS int64 entries; the per-batch fill with an
+    # int64 table reached 6.7, and building a whole layer's split indices
+    # at once reaches about 32.
+    inst = gen_bad_example(12, Fraction(1, 7))
+    costs, _ = _scaled_costs(inst)
+    itemsize = np.min_scalar_type(-4 * (sum(costs) + 1)).itemsize
+    table = (1 << len(inst.terminals)) * inst.node_count * itemsize
+    exact_opt_dp(parse_instance(FOUR_NODE))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        exact_opt_dp(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - table < 8 * oracle._TEMP_ELEMENTS * 8
 
 
 def test_dp_object_dtype_fallback_equals_brute():
