@@ -15,11 +15,21 @@ SCC of `moats_after`) walks only what it visits.  Because only arcs
 entering a moat are paid, the bucket fills of an arc always equal its
 dual load sum over entered sets, so the accumulated duals y satisfy
 load <= 2c per arc and y/2 certifies the lower bound.
+
+Each step's bookkeeping costs only what changed.  `grow` keeps the set of
+full buckets as they fill, so the epsilon-0 shortcut is a set lookup, and
+tests only the moats that hold the bought arc's head for kills.  Reverse
+delete tests the whole purchase list once with `is_feasible`: an
+infeasible list keeps every purchase, since removing arcs never restores
+reachability.  Otherwise each purchase u->v costs one search from the
+root over the kept arcs without it, which stops as soon as it reaches v:
+a root path through u->v can then take the other path to v instead.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
@@ -170,21 +180,19 @@ def _epsilon_from_payers(
     inst: Instance,
     fills: dict[tuple[int, str], Fraction],
     payers: dict[tuple[int, str], list[Moat]],
+    full: set[tuple[int, str]],
 ) -> tuple[Fraction, list[tuple[int, str]]]:
     """Largest uniform growth that overfills no paid bucket, plus every
-    bucket reaching capacity at that growth.  Epsilon may be 0."""
+    bucket reaching capacity at that growth.  Epsilon may be 0.  `full`
+    holds the buckets whose fill equals their cost."""
     # No fill exceeds its cost, so when a paid bucket is already full the
-    # growth is 0 and the tight buckets are exactly the full ones.  An
-    # unpaid cost-0 bucket is full from the start.  Kept for speed: 87% of
-    # the benchmark's seed-0 iterations have epsilon 0, and without this
-    # shortcut `grow` ran 1.6-1.8x slower on its chain and oracle corpora.
-    full = sorted(
-        (arc_id, kind)
-        for arc_id, kind in payers
-        if fills.get((arc_id, kind), 0) == inst.arcs[arc_id].cost
-    )
-    if full:
-        return Fraction(0), full
+    # growth is 0 and the tight buckets are exactly the full ones.  Kept
+    # for speed: 87% of the benchmark's seed-0 iterations have epsilon 0,
+    # and without this shortcut `grow` ran 1.6-1.8x slower on its chain
+    # and oracle corpora.
+    paid_full = sorted(full.intersection(payers))
+    if paid_full:
+        return Fraction(0), paid_full
     # The growth that fills each bucket: its room shared among its payers.
     fill_at = {
         (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((arc_id, kind), 0))
@@ -214,6 +222,16 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
     )
     purchased = ArcGraph(inst)  # F, kept for the whole run
     fills: dict[tuple[int, str], Fraction] = {}  # (arc, kind) -> paid so far
+    # The buckets whose fill equals their cost: the cost-0 ones from the
+    # start, and each bucket an epsilon > 0 iteration fills, which is
+    # exactly the tight ones.
+    kinds = (ANTENNA, EXPANSION, KILLER) if bucketed else (MODE_STANDARD,)
+    full = {
+        (arc_id, kind)
+        for arc_id, arc in enumerate(inst.arcs)
+        if not arc.cost
+        for kind in kinds
+    }
     alive = set(inst.terminals)
     name = cache(_moat_name)  # payer order only; each name made once per run
     moats = active_moats(inst, frozenset())
@@ -227,7 +245,9 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 "stalled growth: no payable arc enters any active moat "
                 "(unreachable terminal escaped validation)"
             )
-        epsilon, tight = _epsilon_from_payers(inst, fills, payers)
+        epsilon, tight = _epsilon_from_payers(inst, fills, payers, full)
+        if epsilon:
+            full.update(tight)
 
         payments = []
         for bucket, paying in sorted(payers.items()):
@@ -244,9 +264,15 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
         purchased.add(buy)
         new_moats = moats_after(inst, purchased, moats, buy)
-        # A moat that does not survive dies; its unique alive terminal dies with it.
-        kept = survivors(moats, new_moats)
-        kills = [t for m in moats if m not in kept for t in sorted(m.core & alive)]
+        # A moat that does not survive dies; its unique alive terminal dies
+        # with it.  Only the moats holding the bought arc's head v can die:
+        # the others are moats of F + {arc} unchanged (`moats_after`), and
+        # a core holding a terminal lies in no other moat than its own, so
+        # a holder survives exactly when its core lies in the one new moat.
+        v = inst.arcs[buy].head
+        holders = [m for m in moats if v in m.vertices]
+        kept = survivors(holders, [m for m in new_moats if v in m.vertices])
+        kills = [t for m in holders if m not in kept for t in sorted(m.core & alive)]
         alive.difference_update(kills)
 
         if bucketed:
@@ -260,7 +286,8 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         elif is_antenna_arc(inst, buy):
             label = ANTENNA
         else:
-            # Expansion iff an entered moat survives, as in `classify_arc`.
+            # Expansion iff an entered moat survives, as in `classify_arc`;
+            # every entered moat holds v.
             grows = not kept.isdisjoint(payers[(buy, MODE_STANDARD)])
             label = EXPANSION if grows else KILLER
 
@@ -279,16 +306,54 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
     return trace
 
 
+def _feasible_without(
+    inst: Instance, out: defaultdict[int, dict[int, int]], head: int
+) -> bool:
+    """Whether the arcs `out` holds, a feasible set minus one arc into
+    `head`, still reach every terminal from the root; stops once `head` is
+    reached."""
+    seen = {inst.root}
+    work = [inst.root]
+    while work:
+        for w in out[work.pop()].values():
+            if w not in seen:
+                if w == head:
+                    return True
+                seen.add(w)
+                work.append(w)
+    return inst.terminals <= seen
+
+
 def reverse_delete(inst: Instance, trace: GrowthTrace) -> Solution:
     """Scan purchases in reverse order, dropping every arc whose removal
-    keeps all terminals reachable from the root."""
+    keeps all terminals reachable from the root.
+
+    One `is_feasible` call tests the whole purchase list; when it is
+    infeasible no removal can make it feasible, so every purchase is kept.
+    Otherwise the kept arcs stay feasible throughout, and each purchase
+    u->v is tested by one search from the root over the kept arcs without
+    it.  The search stops as soon as it reaches v: any root path through
+    u->v can then take the other path to v instead, so the arc is safe to
+    drop.  A search that ends without reaching v drops the arc exactly when
+    it reached every terminal.
+    """
     purchases = trace.purchases()
     labels = trace.purchase_labels()
     kept = set(purchases)
-    for arc_id in reversed(purchases):
-        kept.discard(arc_id)
-        if not is_feasible(inst, kept):
-            kept.add(arc_id)
+    if is_feasible(inst, kept):
+        out: defaultdict[int, dict[int, int]] = defaultdict(dict)  # tail -> {arc id: head}
+        for arc_id in kept:
+            tail, head, _ = inst.arcs[arc_id]
+            out[tail][arc_id] = head
+        for arc_id in reversed(purchases):
+            if arc_id not in kept:  # a repeated purchase, already dropped
+                continue
+            tail, head, _ = inst.arcs[arc_id]
+            del out[tail][arc_id]
+            if _feasible_without(inst, out, head):
+                kept.discard(arc_id)
+            else:
+                out[tail][arc_id] = head
     final = tuple(a for a in purchases if a in kept)
     dual_total = trace.dual_total()
     return Solution(
@@ -369,9 +434,9 @@ def _memoized(parse):
     memo: dict = {}
 
     def cached(value):
-        found = memo.get(_str(value))
+        found = memo.get(value)  # only strings are stored, so others miss
         if found is None:
-            found = memo[value] = parse(value)
+            found = memo[value] = parse(_str(value))
         return found
 
     return cached
@@ -387,16 +452,10 @@ def _list_of(item):
     return lambda value: tuple(item(v) for v in _list(value))
 
 
-def _tuple_of(*items):
-    def parse(value):
-        if len(_list(value)) != len(items):
-            raise TypeError
-        return tuple(item(v) for item, v in zip(items, value))
-
-    return parse
-
-
-_purchase = _tuple_of(_arc, _str)
+def _purchase(value) -> tuple[int, str]:
+    if len(_list(value)) != 2:
+        raise TypeError
+    return _arc(value[0]), _str(value[1])
 
 
 class _Record:
@@ -444,8 +503,20 @@ def read_trace(src: IO[str]) -> GrowthTrace:
     )
     rational = _memoized(Fraction)
     name = _memoized(_moat_vertices)
-    payment_row = _tuple_of(_arc, _str, name, rational)
-    payments = _list_of(lambda value: Payment(*payment_row(value)))
+
+    def payments(value) -> tuple[Payment, ...]:
+        # Payments outnumber every other field of a trace, so one loop
+        # checks each row in place of a parser per element.
+        parsed = []
+        for row in _list(value):
+            if type(row) is not list or len(row) != 4:
+                raise TypeError
+            arc, kind, moat, amount = row
+            if type(arc) is not int or arc < 0 or type(kind) is not str:
+                raise TypeError
+            parsed.append(Payment(arc, kind, name(moat), rational(amount)))
+        return tuple(parsed)
+
     for rec in records[1:]:
         if rec.row.get("record") != "iteration":
             raise InputError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")

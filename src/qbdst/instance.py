@@ -269,15 +269,21 @@ class ArcGraph:
         if self._tails is not None:
             self._tails.setdefault(head, []).append(tail)
 
-    def reach(self, sources: Iterable[int], backward: bool = False) -> set[int]:
+    def reach(
+        self,
+        sources: Iterable[int],
+        backward: bool = False,
+        within: set[int] | None = None,
+    ) -> set[int]:
         """The sources and every node reachable from them over the subset;
-        with `backward`, every node that reaches them instead."""
+        with `backward`, every node that reaches them instead.  With
+        `within`, the search enters only the nodes of that set."""
         adjacency = self.tails if backward else self.heads
         seen = set(sources)
         work = list(seen)
         while work:
             for w in adjacency.get(work.pop(), ()):
-                if w not in seen:
+                if w not in seen and (within is None or w in within):
                     seen.add(w)
                     work.append(w)
         return seen

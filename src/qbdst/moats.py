@@ -51,11 +51,17 @@ of rebuilding every SCC.  Let F' = F + {u->v}:
 
 The moats of F' are therefore the moats of F without v, plus `_moat` of
 S when that is a moat.  S is v's forward reach in F' intersected with
-its backward reach, two searches over the adjacency of F' that the
-growth loop keeps (`instance.ArcGraph`), so each costs only the nodes
-and arcs it visits.  S's Steiner tails, and the test whether an F'-arc
-enters S with its tails, read only the in-arcs of those vertices, never
-all of F'.
+its backward reach.  Both are searches over the adjacency of F' that the
+growth loop keeps (`instance.ArcGraph`), and the backward search enters
+only nodes of the forward reach: every path from a node of S to v stays
+inside S, so the restricted search still finds all of S and nothing
+else.  Each search costs only the nodes and arcs it visits.  S's Steiner
+tails, and the test whether an F'-arc enters S with its tails, read only
+the in-arcs of those vertices, never all of F'.
+
+The growth loop takes its kills from the same locality: the moats
+without v survive unchanged, so only the moats holding v need
+`survivors`, against the one new moat.
 """
 
 from __future__ import annotations
@@ -176,11 +182,12 @@ def moats_after(
 
     The moats that do not hold the arc's head v are kept, and `_moat` of
     the SCC of v in F + {arc} is the one new candidate (the module
-    docstring gives the proof).  Ordered as `active_moats`.
+    docstring gives the proof).  The SCC is a backward search from v that
+    stays inside v's forward reach.  Ordered as `active_moats`.
     """
     v = inst.arcs[arc_id].head
     kept = [m for m in moats if v not in m.vertices]
-    core = bought.reach([v]) & bought.reach([v], backward=True)
+    core = bought.reach([v], backward=True, within=bought.reach([v]))
     moat = _moat(inst, core, bought.tails)
     if moat is not None:
         insort(kept, moat, key=_order)

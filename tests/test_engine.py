@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 
 from qbdst.engine import (
+    MODE_BUCKETED,
+    MODE_STANDARD,
     MODES,
+    GrowthTrace,
+    IterationRecord,
     Payment,
     grow,
     read_trace,
@@ -20,7 +24,15 @@ from qbdst import engine as engine_module
 from qbdst import moats as moats_module
 from qbdst.audit import run_full
 from qbdst.instance import ArcGraph, InvalidInstanceError, is_feasible, parse_instance, validate
-from qbdst.moats import ANTENNA, EXPANSION, KILLER, active_moats, classify_arc, is_antenna_arc
+from qbdst.moats import (
+    ANTENNA,
+    EXPANSION,
+    KILLER,
+    active_moats,
+    classify_arc,
+    is_antenna_arc,
+    survivors,
+)
 from qbdst.gen import gen_bad_example, gen_grid
 
 from conftest import (
@@ -211,6 +223,96 @@ def test_reverse_delete_keeps_arborescence():
     )
     sol, trace = solve(inst)
     assert set(sol.final_arcs) == {0, 1}
+
+
+def _reverse_delete_reference(inst, trace):
+    # Reverse delete with one feasibility test of the kept set per
+    # purchase: the oracle for the early-exit searches.
+    purchases = trace.purchases()
+    labels = trace.purchase_labels()
+    kept = set(purchases)
+    for arc_id in reversed(purchases):
+        kept.discard(arc_id)
+        if not is_feasible(inst, kept):
+            kept.add(arc_id)
+    final = tuple(a for a in purchases if a in kept)
+    lower_bound = trace.dual_total() / 2
+    return final, {a: labels[a] for a in final}, inst.cost_of(final), lower_bound
+
+
+def _purchase_trace(inst, purchases, rng):
+    # A trace that buys `purchases` in order, with random labels and duals;
+    # reverse delete reads only the purchases, their labels and the duals.
+    trace = GrowthTrace(
+        mode=MODE_BUCKETED,
+        instance_hash="",
+        node_count=inst.node_count,
+        root=inst.root,
+        terminals=inst.terminals,
+    )
+    for index, arc_id in enumerate(purchases):
+        trace.iterations.append(
+            IterationRecord(
+                index=index,
+                epsilon=Fraction(rng.randint(0, 3), rng.randint(1, 3)),
+                moats=(frozenset({inst.arcs[arc_id].head}),),
+                payments=(),
+                purchased=(arc_id, rng.choice((ANTENNA, EXPANSION, KILLER))),
+                kills=(),
+            )
+        )
+    return trace
+
+
+def _purchase_lists(inst, rng):
+    # Lists no grow run makes: every arc shuffled, with repeats, and with
+    # every arc into one terminal left out, which makes them infeasible.
+    every = list(range(len(inst.arcs)))
+    rng.shuffle(every)
+    repeated = every + rng.choices(every, k=len(every) // 2 + 1)
+    rng.shuffle(repeated)
+    cut = rng.choice(sorted(inst.terminals))
+    infeasible = [a for a in repeated if inst.arcs[a].head != cut]
+    return [every, repeated, infeasible]
+
+
+def test_reverse_delete_matches_per_purchase_reference(monkeypatch):
+    # The early-exit searches against one feasibility test per purchase, on
+    # grow runs in both modes and on purchase lists no run makes.  Reverse
+    # delete tests the whole list with is_feasible once, and keeps every
+    # purchase when that list is infeasible.
+    feasible_calls = 0
+
+    def counted(*args):
+        nonlocal feasible_calls
+        feasible_calls += 1
+        return is_feasible(*args)
+
+    monkeypatch.setattr(engine_module, "is_feasible", counted)
+    rng = random.Random(38)
+    instances = [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(150)]
+    instances += [gen_bad_example(k, EPS) for k in (3, 12)]
+    instances += [gen_grid(5, 5, Fraction(1, 2), Fraction(4, 5), (1, 6), s) for s in range(3)]
+    deletes = infeasible = dropped = 0
+    for inst in instances:
+        traces = [grow(inst, mode) for mode in MODES]
+        traces += [_purchase_trace(inst, arcs, rng) for arcs in _purchase_lists(inst, rng)]
+        for trace in traces:
+            feasible_calls = 0
+            sol = reverse_delete(inst, trace)
+            assert feasible_calls == 1
+            got = (sol.final_arcs, sol.arc_labels, sol.total_cost, sol.lower_bound)
+            assert got == _reverse_delete_reference(inst, trace)
+            assert sol.dual_total == trace.dual_total()
+            deletes += 1
+            if not is_feasible(inst, trace.purchases()):
+                infeasible += 1
+                assert sol.final_arcs == tuple(trace.purchases())
+            else:
+                assert is_feasible(inst, sol.final_arcs)
+                dropped += len(sol.final_arcs) < len(trace.purchases())
+    assert deletes == 5 * len(instances)
+    assert infeasible >= len(instances) and dropped > 2 * len(instances)
 
 
 def test_alive_report_four_node():
@@ -487,16 +589,59 @@ def test_nonantenna_kills_match_killer_classification():
             alive -= set(rec.kills)
 
 
+def test_local_kills_match_survivors_over_all_moats(monkeypatch):
+    # grow tests only the moats holding the bought arc's head, against the
+    # one new moat.  The oracle is `survivors` over every moat before the
+    # purchase and every moat after it, at every purchase of whole runs in
+    # both modes; a standard run's label must follow the same survivors.
+    dead = []  # per purchase: the moats the full survival test kills
+
+    def recorded(inst, graph, moats, arc_id):
+        after = moats_module.moats_after(inst, graph, moats, arc_id)
+        kept = survivors(moats, after)
+        tail, head, _ = inst.arcs[arc_id]
+        entered = [m for m in moats if head in m.vertices and tail not in m.vertices]
+        grows = any(m in kept for m in entered)
+        dead.append(([m for m in moats if m not in kept], grows))
+        return after
+
+    monkeypatch.setattr(engine_module, "moats_after", recorded)
+    rng = random.Random(39)
+    instances = [inst for _, inst in acceptance_corpus()]
+    instances += [gen_bad_example(k, Fraction(1, 7)) for k in (3, 20, 60)]
+    instances += [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(100)]
+    kills = 0
+    for inst in instances:
+        for mode in MODES:
+            dead.clear()
+            trace = grow(inst, mode)
+            assert len(dead) == len(trace.iterations)
+            alive = set(inst.terminals)
+            for rec, (dying, grows) in zip(trace.iterations, dead):
+                expected = [t for m in dying for t in sorted(m.core & alive)]
+                assert rec.kills == tuple(expected), (inst, mode, rec.index)
+                bought, label = rec.purchased
+                if mode == MODE_STANDARD and not is_antenna_arc(inst, bought):
+                    assert label == (EXPANSION if grows else KILLER)
+                alive.difference_update(expected)
+                kills += len(expected)
+    assert kills > len(instances)
+
+
 def test_zero_epsilon_shortcut_matches_full_minimum(monkeypatch):
     # When a paid bucket is already full, epsilon is 0 without the room
     # arithmetic.  The oracle is the full minimum over every paid bucket's
     # room per payer.  Cost-0 buckets are full before any payment, so the
-    # instances keep many of them.
+    # instances keep many of them.  The set of full buckets that grow keeps
+    # must name exactly the paid buckets whose fill equals their cost.
     fast = engine_module._epsilon_from_payers
     mixed = 0  # tight sets with a paid-full bucket and a never-paid one
 
-    def checked(inst, fills, payers):
+    def checked(inst, fills, payers, full):
         nonlocal mixed
+        for arc_id, kind in payers:
+            at_cost = fills.get((arc_id, kind), 0) == inst.arcs[arc_id].cost
+            assert ((arc_id, kind) in full) == at_cost
         fill_at = {
             (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((arc_id, kind), 0))
             / len(paying)
@@ -504,9 +649,9 @@ def test_zero_epsilon_shortcut_matches_full_minimum(monkeypatch):
         }
         epsilon = min(fill_at.values())
         tight = sorted(bucket for bucket, growth in fill_at.items() if growth == epsilon)
-        assert fast(inst, fills, payers) == (epsilon, tight)
-        full = [bucket for bucket in tight if bucket in fills]
-        mixed += 0 < len(full) < len(tight)
+        assert fast(inst, fills, payers, full) == (epsilon, tight)
+        paid = [bucket for bucket in tight if bucket in fills]
+        mixed += 0 < len(paid) < len(tight)
         return epsilon, tight
 
     monkeypatch.setattr(engine_module, "_epsilon_from_payers", checked)
@@ -594,6 +739,41 @@ def _empty_payment_moat(rows):
     rows[2]["payments"][0][2] = ""
 
 
+def _bool_payment_arc(rows):
+    rows[2]["payments"][0][0] = True
+
+
+def _float_payment_arc(rows):
+    rows[2]["payments"][0][0] = 1.0
+
+
+def _payment_not_list(rows):
+    rows[2]["payments"][0] = {"arc": rows[2]["payments"][0][0]}
+
+
+def _short_payment(rows):
+    del rows[2]["payments"][0][3]
+
+
+def _long_payment(rows):
+    rows[2]["payments"][0].append("1/1")
+
+
+def _int_payment_kind(rows):
+    rows[2]["payments"][0][1] = 1
+
+
+def _float_payment_amount(rows):
+    rows[2]["payments"][0][3] = 0.5
+
+
+def _payments_not_list(rows):
+    rows[2]["payments"] = "none"
+
+
+PAYMENTS_MUST_BE = "trace line 3: payments must be"
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -605,7 +785,15 @@ def _empty_payment_moat(rows):
         (_bad_epsilon, "trace line 2: epsilon must be"),
         (_word_moat, "trace line 2: moats must be a list of moat names"),
         (_unsorted_moat, "trace line 4: moats must be a list of moat names"),
-        (_empty_payment_moat, "trace line 3: payments must be"),
+        (_empty_payment_moat, PAYMENTS_MUST_BE),
+        (_bool_payment_arc, PAYMENTS_MUST_BE),
+        (_float_payment_arc, PAYMENTS_MUST_BE),
+        (_payment_not_list, PAYMENTS_MUST_BE),
+        (_short_payment, PAYMENTS_MUST_BE),
+        (_long_payment, PAYMENTS_MUST_BE),
+        (_int_payment_kind, PAYMENTS_MUST_BE),
+        (_float_payment_amount, PAYMENTS_MUST_BE),
+        (_payments_not_list, PAYMENTS_MUST_BE),
     ],
 )
 def test_read_trace_rejects_schema_errors(tamper, message):

@@ -19,7 +19,7 @@ from qbdst.moats import (
     survivors,
 )
 
-from conftest import acceptance_corpus, random_qb_instance
+from conftest import acceptance_corpus, random_qb_instance, random_valid_instance
 
 
 def _inst(text: str) -> Instance:
@@ -260,7 +260,12 @@ def test_classify_roles_match_brute_oracle_seeded(monkeypatch):
 def _check_moats_after(inst, graph, moats, arc_id):
     # The local update against the from-scratch oracle, and on small
     # instances against the brute enumerator too.  `graph` already holds
-    # the bought arc.
+    # the bought arc.  The SCC of its head v, a backward search kept inside
+    # v's forward reach, must equal both whole reaches intersected.
+    v = inst.arcs[arc_id].head
+    forward = graph.reach([v])
+    scc = forward & graph.reach([v], backward=True)
+    assert graph.reach([v], backward=True, within=forward) == scc
     after = moats_after(inst, graph, moats, arc_id)
     bought = frozenset(graph.ids)
     assert arc_id in bought
@@ -273,7 +278,7 @@ def _check_moats_after(inst, graph, moats, arc_id):
 
 def test_moats_after_equals_active_moats_in_grow_runs(monkeypatch):
     # Every purchase of whole runs in both modes, over the acceptance
-    # corpus plus larger chains and grids.
+    # corpus plus larger chains, grids and seeded random instances.
     updates = 0
 
     def checked(*args):
@@ -287,6 +292,8 @@ def test_moats_after_equals_active_moats_in_grow_runs(monkeypatch):
     instances += [
         gen_grid(8, 8, Fraction(1, 2), Fraction(9, 10), (1, 12), seed) for seed in range(4)
     ]
+    rng = random.Random(20261018)
+    instances += [random_valid_instance(rng, max_nodes=8, max_arcs=30) for _ in range(100)]
     purchases = 0
     for inst in instances:
         for mode in MODES:
