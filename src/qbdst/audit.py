@@ -50,7 +50,6 @@ class AuditReport:
     cost_identity_ok: bool = True
     dual_feasible_ok: bool = True
     lemmas_ok: bool | None = None
-    deltas: list[IterationDelta] = field(default_factory=list)
     alpha_max: Fraction | None = None
     ratio_vs_lb: Fraction | None = None
     ratio_vs_opt: Fraction | None = None
@@ -321,8 +320,7 @@ def run_full(
     report.cost_identity_ok, _ = verify_cost_identity(inst, regrown, certified)
     _, report.dual_feasible_ok = verify_dual_feasibility(inst, regrown)
     if regrown.mode == MODE_BUCKETED:
-        lemmas_ok, deltas, alpha_max = verify_counting_lemmas(inst, regrown, certified)
-        report.lemmas_ok = lemmas_ok
-        report.deltas = deltas
-        report.alpha_max = alpha_max
+        report.lemmas_ok, _, report.alpha_max = verify_counting_lemmas(
+            inst, regrown, certified
+        )
     return report

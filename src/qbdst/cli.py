@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as handle:
             engine.write_trace(trace, handle)
 
-    ratio_vs_lb = sol.total_cost / sol.lower_bound if sol.lower_bound else None
+    ratios = audit_mod.ratio_report(inst, sol, opt)
     print(f"instance {trace.instance_hash}")
     print(f"mode {trace.mode}")
     print(f"arcs_bought {len(trace.iterations)}")
@@ -100,7 +100,7 @@ def cmd_solve(args) -> int:
     print(f"cost {_fmt(sol.total_cost, args.decimal)}")
     print(f"dual_total {_fmt(sol.dual_total, args.decimal)}")
     print(f"lower_bound {_fmt(sol.lower_bound, args.decimal)}")
-    print(f"ratio_vs_lb {_fmt(ratio_vs_lb, args.decimal)}")
+    print(f"ratio_vs_lb {_fmt(ratios.ratio_vs_lb, args.decimal)}")
     for arc_id in sol.final_arcs:
         arc = inst.arcs[arc_id]
         print(
@@ -109,8 +109,7 @@ def cmd_solve(args) -> int:
         )
     if opt is not None:
         print(f"opt {_fmt(opt, args.decimal)}")
-        ratio_vs_opt = sol.total_cost / opt if opt else None
-        print(f"ratio_vs_opt {_fmt(ratio_vs_opt, args.decimal)}")
+        print(f"ratio_vs_opt {_fmt(ratios.ratio_vs_opt, args.decimal)}")
     if report is not None:
         sys.stdout.write(report.render())
     # On stderr, so that stdout stays byte-deterministic.
@@ -151,10 +150,10 @@ def _bench_one(path_str: str) -> dict:
             opt = oracle.exact_opt_dp(inst).opt_cost
         report = audit_mod.run_full(inst, trace, sol, opt)
         record.update(
-            cost=str(sol.total_cost),
-            lower_bound=str(sol.lower_bound),
-            ratio_vs_lb=str(report.ratio_vs_lb) if report.ratio_vs_lb is not None else "n/a",
-            ratio_vs_opt=str(report.ratio_vs_opt) if report.ratio_vs_opt is not None else "n/a",
+            cost=sol.total_cost,
+            lower_bound=sol.lower_bound,
+            ratio_vs_lb=report.ratio_vs_lb,
+            ratio_vs_opt=report.ratio_vs_opt,
             audit_ok=report.all_ok,
         )
     except INPUT_ERRORS as exc:
@@ -186,18 +185,17 @@ def cmd_bench(args) -> int:
             continue
         if not rec["audit_ok"]:
             breaches += 1
-        if rec["ratio_vs_lb"] != "n/a":
-            ratio = Fraction(rec["ratio_vs_lb"])
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio = ratio
+        ratio = rec["ratio_vs_lb"]
+        if ratio is not None and (max_ratio is None or ratio > max_ratio):
+            max_ratio = ratio
         print(
             f"{rec['name']} cost={rec['cost']} lb={rec['lower_bound']} "
-            f"ratio_lb={rec['ratio_vs_lb']} ratio_opt={rec['ratio_vs_opt']} "
+            f"ratio_lb={_fmt(ratio, False)} ratio_opt={_fmt(rec['ratio_vs_opt'], False)} "
             f"audit={'ok' if rec['audit_ok'] else 'BREACH'}"
         )
     print(
         f"summary instances={len(records)} errors={errors} "
-        f"breaches={breaches} max_ratio_vs_lb={max_ratio if max_ratio is not None else 'n/a'}"
+        f"breaches={breaches} max_ratio_vs_lb={_fmt(max_ratio, False)}"
     )
     return EXIT_BREACH if breaches else EXIT_OK
 

@@ -14,10 +14,10 @@ from .instance import (
     FAMILY_PLANAR_BIPARTITE,
     FAMILY_UNKNOWN,
     Arc,
+    ArcGraph,
     InputError,
     Instance,
     ParseError,
-    reachable,
 )
 
 CVC_NODE_LIMIT = 12
@@ -207,7 +207,7 @@ def gen_grid(
         arcs=tuple(arcs),
         family=FAMILY_PLANAR_BIPARTITE,
     )
-    reached = reachable(probe, [probe.root])
+    reached = ArcGraph(probe, range(len(arcs))).reach([root])
     doomed = {t for t in terminals if t not in reached}
     if not doomed:
         return probe

@@ -1,5 +1,5 @@
 """Data model, parsing, validation, and normalization of directed Steiner
-tree instances.
+tree instances, and `ArcGraph`, an arc subset with its one graph search.
 
 Nodes are numbered 1..node_count.  Arc costs are exact rationals
 (`fractions.Fraction`); tightness of payment buckets and feasibility of the
@@ -60,14 +60,6 @@ class Instance:
     arcs: tuple[Arc, ...]
     family: str = FAMILY_UNKNOWN
     minor_r: int | None = None
-
-    @property
-    def steiner(self) -> frozenset[int]:
-        return frozenset(
-            v
-            for v in range(1, self.node_count + 1)
-            if v != self.root and v not in self.terminals
-        )
 
     def is_steiner(self, v: int) -> bool:
         return v != self.root and v not in self.terminals
@@ -231,33 +223,19 @@ def instance_hash(inst: Instance) -> str:
 
 
 class ArcGraph:
-    """A subset of an instance's arcs that only grows, with its adjacency
-    kept: `ids` holds the arc ids, `heads[u]` the heads of the arcs leaving
-    u and `tails[v]` the tails of the arcs entering v.  Adding an arc costs
-    O(1), and a search costs only what it visits."""
+    """A subset of an instance's arcs that only grows, built only through
+    `add`, with its adjacency kept: `ids` holds the arc ids, `heads[u]` the
+    heads of the arcs leaving u and `tails[v]` the tails of the arcs
+    entering v.  Adding an arc costs O(1), and a search costs only what it
+    visits."""
 
     def __init__(self, inst: Instance, arc_ids: Iterable[int] = ()) -> None:
         self.arcs = inst.arcs
-        self.ids: set[int] = set(arc_ids)
-        self.heads = self._adjacency(backward=False)
-        self._tails: dict[int, list[int]] | None = None
-
-    def _adjacency(self, backward: bool) -> dict[int, list[int]]:
-        adjacency: dict[int, list[int]] = {}
-        for arc_id in self.ids:
-            tail, head, _ = self.arcs[arc_id]
-            if backward:
-                tail, head = head, tail
-            adjacency.setdefault(tail, []).append(head)
-        return adjacency
-
-    @property
-    def tails(self) -> dict[int, list[int]]:
-        # Built on first use: `reachable` makes a graph per call and most
-        # calls search forward only.
-        if self._tails is None:
-            self._tails = self._adjacency(backward=True)
-        return self._tails
+        self.ids: set[int] = set()
+        self.heads: dict[int, list[int]] = {}
+        self.tails: dict[int, list[int]] = {}
+        for arc_id in arc_ids:
+            self.add(arc_id)
 
     def add(self, arc_id: int) -> None:
         """Put one arc into the subset; an arc already in it is ignored."""
@@ -266,8 +244,7 @@ class ArcGraph:
         tail, head, _ = self.arcs[arc_id]
         self.ids.add(arc_id)
         self.heads.setdefault(tail, []).append(head)
-        if self._tails is not None:
-            self._tails.setdefault(head, []).append(tail)
+        self.tails.setdefault(head, []).append(tail)
 
     def reach(
         self,
@@ -289,18 +266,9 @@ class ArcGraph:
         return seen
 
 
-def reachable(
-    inst: Instance, sources: Iterable[int], arc_ids: Iterable[int] | None = None
-) -> set[int]:
-    """The sources and every node reachable from them over the given arc
-    subset (default: all arcs)."""
-    ids = range(len(inst.arcs)) if arc_ids is None else arc_ids
-    return ArcGraph(inst, ids).reach(sources)
-
-
 def is_feasible(inst: Instance, arc_ids: Iterable[int]) -> bool:
     """True iff every terminal is reachable from the root over `arc_ids`."""
-    return inst.terminals <= reachable(inst, [inst.root], arc_ids)
+    return inst.terminals <= ArcGraph(inst, arc_ids).reach([inst.root])
 
 
 def validate(inst: Instance) -> list[str]:
@@ -308,8 +276,9 @@ def validate(inst: Instance) -> list[str]:
 
     An empty report means: well-formed ids, root not a terminal, no
     negative costs, no self-loops, no parallel duplicates, quasi-bipartite
-    (no Steiner-to-Steiner arc), and every terminal reachable from the root
-    over the full arc set.
+    (no Steiner-to-Steiner arc), every terminal reachable from the root
+    over the full arc set, and a family declaration a FAMILY line can
+    express, so that the instance round-trips through the file format.
     """
     violations: list[str] = []
     n = inst.node_count
@@ -321,7 +290,6 @@ def validate(inst: Instance) -> list[str]:
     if inst.root in inst.terminals:
         violations.append(f"root {inst.root} listed as terminal")
 
-    steiner = inst.steiner
     seen_pairs: dict[tuple[int, int], int] = {}
     for i, arc in enumerate(inst.arcs):
         name = f"arc {i} ({arc.tail}->{arc.head})"
@@ -332,7 +300,7 @@ def validate(inst: Instance) -> list[str]:
             violations.append(f"{name}: self-loop")
         if arc.cost < 0:
             violations.append(f"{name}: negative cost {arc.cost}")
-        if arc.tail in steiner and arc.head in steiner:
+        if inst.is_steiner(arc.tail) and inst.is_steiner(arc.head):
             violations.append(f"{name}: quasi-bipartite violation (both endpoints Steiner)")
         key = (arc.tail, arc.head)
         if key in seen_pairs:
@@ -341,10 +309,19 @@ def validate(inst: Instance) -> list[str]:
             seen_pairs[key] = i
 
     if not violations:
-        reached = reachable(inst, [inst.root])
+        reached = ArcGraph(inst, range(len(inst.arcs))).reach([inst.root])
         for t in sorted(inst.terminals):
             if t not in reached:
                 violations.append(f"terminal {t}: unreachable from root")
+    if inst.family == FAMILY_MINOR_FREE:
+        if inst.minor_r is None:
+            violations.append("FAMILY minor_free expects an integer r")
+        elif inst.minor_r < 2:
+            violations.append(f"FAMILY minor_free needs r >= 2, got {inst.minor_r}")
+    elif inst.family not in (FAMILY_PLANAR_BIPARTITE, FAMILY_UNKNOWN):
+        violations.append(f"unknown family tag {inst.family!r}")
+    elif inst.minor_r is not None:
+        violations.append(f"FAMILY {inst.family} takes no parameter")
     return violations
 
 

@@ -6,8 +6,9 @@ F when no F-arc enters it; an active moat is an inclusion-minimal violated
 set.  In quasi-bipartite graphs one rule, `_moat`, gives every moat: an
 SCC C of F (the core) that excludes the root and holds a terminal, plus
 the Steiner nodes with an F-arc into C, provided no F-arc enters that
-union.  `active_moats` applies it to every SCC of F, `moats_after` to the
-one SCC a purchase can change; `enumerate_minimal_violated_brute` is the
+union.  A `Moat` holds C and that union, its vertex set and identity.
+`active_moats` applies it to every SCC of F, `moats_after` to the one
+SCC a purchase can change; `enumerate_minimal_violated_brute` is the
 independent subset-enumeration oracle guarding it.
 
 The survival rule is `survivors`: a moat outlives a purchase when its
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .instance import ArcGraph, Instance
@@ -82,16 +82,12 @@ BRUTE_NODE_LIMIT = 16
 
 @dataclass(frozen=True)
 class Moat:
-    """An active moat: SCC core plus attached Steiner tails.  `vertices`
-    is its identity, in memory and in trace records; its text name exists
-    only in trace files."""
+    """An active moat: its SCC core and `vertices`, the core plus its
+    Steiner tails.  `vertices` is its identity, in memory and in trace
+    records; its text name exists only in trace files."""
 
     core: frozenset[int]
-    steiner_tails: frozenset[int]
-
-    @cached_property
-    def vertices(self) -> frozenset[int]:
-        return self.core | self.steiner_tails
+    vertices: frozenset[int]
 
 
 def _components(node_count: int, into: dict[int, list[int]]) -> list[set[int]]:
@@ -154,7 +150,7 @@ def _moat(inst: Instance, core: set[int], into: dict[int, list[int]]) -> Moat | 
     vertices = core | tails
     if any(u not in vertices for w in vertices for u in into.get(w, ())):
         return None
-    return Moat(core=frozenset(core), steiner_tails=frozenset(tails))
+    return Moat(core=frozenset(core), vertices=frozenset(vertices))
 
 
 def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:

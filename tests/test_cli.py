@@ -19,16 +19,20 @@ from conftest import FOUR_NODE, SINGLE_ARC
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args: str, cwd=None):
+def _child_env() -> dict:
     # The child imports qbdst from this checkout, installed or not.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args: str, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "qbdst", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=_child_env(),
     )
 
 
@@ -485,6 +489,24 @@ def test_bench_isolates_every_input_error(tmp_path, capsys):
     assert lines[-1].startswith("summary instances=3 errors=2 breaches=0")
 
 
+def test_bench_prints_exact_ratios_and_their_maximum(tmp_path, capsys):
+    # A zero-cost instance has no ratio: n/a, and left out of the maximum.
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "four.txt").write_text(FOUR_NODE, encoding="utf-8")
+    free = SINGLE_ARC.replace("ARC 1 2 5", "ARC 1 2 0")
+    (bench / "free.txt").write_text(free, encoding="utf-8")
+    chain = serialize_instance(gen_bad_example(4, Fraction(1, 100)))
+    (bench / "chain.txt").write_text(chain, encoding="utf-8")
+    assert cli.main(["bench", str(bench)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "chain.txt cost=253/50 lb=203/100 ratio_lb=506/203 ratio_opt=1 audit=ok",
+        "four.txt cost=4 lb=2 ratio_lb=2 ratio_opt=1 audit=ok",
+        "free.txt cost=0 lb=0 ratio_lb=n/a ratio_opt=n/a audit=ok",
+        "summary instances=3 errors=0 breaches=0 max_ratio_vs_lb=506/203",
+    ]
+
+
 @pytest.mark.parametrize("bad", ["missing", "file"])
 def test_bench_rejects_non_directory(tmp_path, capsys, bad):
     path = tmp_path / "bench"
@@ -649,3 +671,24 @@ def test_audit_prints_the_certified_solution(tmp_path, capsys):
     assert out[1:3] == ["cost 4", "lower_bound 2"]
     assert "ratio_vs_lb 2" in out
     assert "divergence iteration 0 epsilon" in out
+
+
+@pytest.mark.parametrize(
+    "flags, loaded", [(["--audit"], False), (["--oracle"], True)], ids=["audit", "oracle"]
+)
+def test_numpy_is_imported_only_by_the_oracle(four_node_file, flags, loaded):
+    # A fresh interpreter: the solver and the audit run without numpy, and
+    # only the subset DP imports it.
+    script = (
+        "import sys\n"
+        "from qbdst import cli\n"
+        "code = cli.main(['solve', sys.argv[1], *sys.argv[2:]])\n"
+        "print('numpy' in sys.modules, code, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(four_node_file), *flags],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert result.stderr.splitlines()[-1] == f"{loaded} 0"

@@ -1,16 +1,20 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qbdst.engine import solve
 from qbdst.instance import (
     Arc,
     ArcGraph,
     Instance,
+    InvalidInstanceError,
     ParseError,
+    is_feasible,
     normalize_parallel,
     parse_instance,
-    reachable,
     serialize_instance,
     validate,
 )
@@ -167,6 +171,46 @@ def test_minor_free_rejects_r_below_two(r):
     assert parse_instance(text.replace(f"minor_free {r}", "minor_free 2")).minor_r == 2
 
 
+def _declared(family, minor_r):
+    return replace(parse_instance(SINGLE_ARC), family=family, minor_r=minor_r)
+
+
+def _assert_rejected(inst, message):
+    assert validate(inst) == [message]
+    with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+        solve(inst)
+
+
+def test_validate_rejects_unknown_family_tag():
+    # Serialized, this is a FAMILY line the parser rejects.
+    _assert_rejected(_declared("planar", None), "unknown family tag 'planar'")
+
+
+def test_validate_rejects_minor_free_r_below_two():
+    # The audit's K_r bound divides by r log2 r.
+    _assert_rejected(_declared("minor_free", 0), "FAMILY minor_free needs r >= 2, got 0")
+
+
+def test_validate_rejects_minor_free_without_r():
+    # Otherwise the K_r bound would be skipped without a word.
+    _assert_rejected(_declared("minor_free", None), "FAMILY minor_free expects an integer r")
+
+
+@pytest.mark.parametrize("family", ["planar_bipartite", "unknown"])
+def test_validate_rejects_r_on_another_family(family):
+    # Serialized, the r is dropped and the file reads back unequal.
+    _assert_rejected(_declared(family, 5), f"FAMILY {family} takes no parameter")
+
+
+@pytest.mark.parametrize(
+    "family, minor_r", [("planar_bipartite", None), ("unknown", None), ("minor_free", 2)]
+)
+def test_validate_accepts_every_expressible_family(family, minor_r):
+    inst = _declared(family, minor_r)
+    assert validate(inst) == []
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
 def test_empty_terminals_line_round_trips():
     inst = parse_instance("NODES 2\nROOT 1\nTERMINALS\nARC 1 2 7\nEND\n")
     assert inst.terminals == frozenset()
@@ -187,17 +231,17 @@ def test_reachable_from_several_sources_over_arc_subset():
         "NODES 6\nROOT 1\nTERMINALS 2 4 6\n"
         "ARC 1 2 1\nARC 2 3 1\nARC 3 4 1\nARC 5 6 1\nARC 4 5 1\nEND\n"
     )
-    assert reachable(inst, [2, 5], [1, 3]) == {2, 3, 5, 6}
-    assert reachable(inst, [2, 5], [1, 2, 3]) == {2, 3, 4, 5, 6}
-    assert reachable(inst, [3, 6], []) == {3, 6}
-    # All arcs by default; nothing leads back to the root.
-    assert reachable(inst, [4, 2]) == {2, 3, 4, 5, 6}
+    assert ArcGraph(inst, [1, 3]).reach([2, 5]) == {2, 3, 5, 6}
+    assert ArcGraph(inst, [1, 2, 3]).reach([2, 5]) == {2, 3, 4, 5, 6}
+    assert ArcGraph(inst, []).reach([3, 6]) == {3, 6}
+    # All arcs; nothing leads back to the root.
+    assert ArcGraph(inst, range(len(inst.arcs))).reach([4, 2]) == {2, 3, 4, 5, 6}
     # Backward: the nodes that reach the sources.
     assert ArcGraph(inst, range(len(inst.arcs))).reach([5], backward=True) == {1, 2, 3, 4, 5}
     assert ArcGraph(inst, [1, 3]).reach([6, 3], backward=True) == {2, 3, 5, 6}
 
 
-def _closure(inst, arc_ids, sources, backward):
+def _closure(inst, arc_ids, sources, backward, within=None):
     # Independent oracle: sweep the arcs until none adds a node.
     seen = set(sources)
     grew = True
@@ -207,10 +251,44 @@ def _closure(inst, arc_ids, sources, backward):
             tail, head, _ = inst.arcs[i]
             if backward:
                 tail, head = head, tail
-            if tail in seen and head not in seen:
+            if tail in seen and head not in seen and (within is None or head in within):
                 seen.add(head)
                 grew = True
     return seen
+
+
+def test_arc_graph_matches_brute_adjacency_reach_and_feasibility():
+    # A random arc subset with repeated ids, built at once and by `add` in
+    # shuffled order, against brute answers over inst.arcs.
+    rng = random.Random(20261019)
+    for _ in range(300):
+        inst = random_qb_instance(rng, max_nodes=9, arc_prob=rng.choice([0.2, 0.4]))
+        arc_ids = [i for i in range(len(inst.arcs)) if rng.random() < 0.5]
+        arc_ids += rng.choices(arc_ids, k=len(arc_ids) // 3) if arc_ids else []
+        rng.shuffle(arc_ids)
+        subset = set(arc_ids)
+        built = ArcGraph(inst, arc_ids)
+        added = ArcGraph(inst)
+        for arc_id in rng.sample(arc_ids, len(arc_ids)):
+            added.add(arc_id)
+        assert built.ids == added.ids == subset
+        nodes = range(1, inst.node_count + 1)
+        for u in nodes:
+            heads = sorted(inst.arcs[i].head for i in subset if inst.arcs[i].tail == u)
+            tails = sorted(inst.arcs[i].tail for i in subset if inst.arcs[i].head == u)
+            for graph in (built, added):
+                assert sorted(graph.heads.get(u, [])) == heads
+                assert sorted(graph.tails.get(u, [])) == tails
+        for _ in range(3):
+            sources = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+            within = set(rng.sample(nodes, rng.randint(0, len(nodes))))
+            for backward in (False, True):
+                for limit in (None, within):
+                    expected = _closure(inst, subset, sources, backward, limit)
+                    assert built.reach(sources, backward, limit) == expected
+                    assert added.reach(sources, backward, limit) == expected
+        reached = _closure(inst, subset, [inst.root], False)
+        assert is_feasible(inst, arc_ids) == (inst.terminals <= reached)
 
 
 def test_arc_graph_reach_matches_closure_as_arcs_are_added():

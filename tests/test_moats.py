@@ -34,7 +34,7 @@ TWO_TERMINALS = _inst(
 def test_scc_two_cycle():
     # The F-cycle 2<->3 is one core; the root's component is never a moat.
     moats = active_moats(TWO_TERMINALS, {0, 1})
-    assert [(set(m.core), set(m.steiner_tails)) for m in moats] == [({2, 3}, set())]
+    assert [(set(m.core), set(m.vertices - m.core)) for m in moats] == [({2, 3}, set())]
 
 
 def test_scc_empty_f_gives_singletons_without_steiner():
@@ -49,14 +49,14 @@ def test_scc_steiner_terminal_cycle_counts():
     # A Steiner node on an F-cycle with a terminal joins the core, not the tails.
     inst = _inst("NODES 3\nROOT 1\nTERMINALS 2\nARC 3 2 1\nARC 2 3 1\nARC 1 2 1\nEND\n")
     moats = active_moats(inst, {0, 1})
-    assert [(set(m.core), set(m.steiner_tails)) for m in moats] == [({2, 3}, set())]
+    assert [(set(m.core), set(m.vertices - m.core)) for m in moats] == [({2, 3}, set())]
 
 
 def test_active_moats_initially_singleton_terminals():
     inst = _inst("NODES 4\nROOT 1\nTERMINALS 2 3\nARC 1 2 1\nARC 1 3 1\nARC 4 2 1\nEND\n")
     moats = active_moats(inst, set())
     assert [set(m.vertices) for m in moats] == [{2}, {3}]
-    assert all(not m.steiner_tails for m in moats)
+    assert all(m.vertices == m.core for m in moats)
 
 
 def test_active_moats_steiner_tail():
@@ -64,7 +64,7 @@ def test_active_moats_steiner_tail():
     moats = active_moats(inst, {0})
     assert len(moats) == 1
     assert set(moats[0].core) == {2}
-    assert set(moats[0].steiner_tails) == {3}
+    assert set(moats[0].vertices - moats[0].core) == {3}
 
 
 def test_active_moats_terminate_when_rooted():
@@ -175,7 +175,7 @@ def test_moat_cores_disjoint_tails_shareable():
             for b in moats[i + 1 :]:
                 assert not (a.core & b.core)
                 shared = a.vertices & b.vertices
-                assert shared <= inst.steiner
+                assert all(inst.is_steiner(v) for v in shared)
 
 
 def test_expansion_killer_tails_are_terminal_or_root():
