@@ -108,11 +108,17 @@ def verify_dual_feasibility(
         and not members.isdisjoint(inst.terminals)
         for members in duals
     )
+    # A set's load falls on the in-arcs of its members, so each set visits
+    # only those, not all |E| arcs.
+    in_arcs: dict[int, list[int]] = {}
+    for arc_id, arc in enumerate(inst.arcs):
+        in_arcs.setdefault(arc.head, []).append(arc_id)
     loads = {arc_id: Fraction(0) for arc_id in range(len(inst.arcs))}
     for members, y in duals.items():
-        for arc_id, arc in enumerate(inst.arcs):
-            if arc.head in members and arc.tail not in members:
-                loads[arc_id] += y
+        for v in members:
+            for arc_id in in_arcs.get(v, ()):
+                if inst.arcs[arc_id].tail not in members:
+                    loads[arc_id] += y
     for arc_id, load in loads.items():
         cap = inst.arcs[arc_id].cost
         if is_antenna_arc(inst, arc_id):

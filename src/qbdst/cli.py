@@ -92,7 +92,8 @@ def cmd_solve(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as handle:
             engine.write_trace(trace, handle)
 
-    ratios = audit_mod.ratio_report(inst, sol, opt)
+    # With --audit, the report prints the certified ratios instead.
+    ratios = None if report is not None else audit_mod.ratio_report(inst, sol, opt)
     print(f"instance {trace.instance_hash}")
     print(f"mode {trace.mode}")
     print(f"arcs_bought {len(trace.iterations)}")
@@ -100,7 +101,8 @@ def cmd_solve(args) -> int:
     print(f"cost {_fmt(sol.total_cost, args.decimal)}")
     print(f"dual_total {_fmt(sol.dual_total, args.decimal)}")
     print(f"lower_bound {_fmt(sol.lower_bound, args.decimal)}")
-    print(f"ratio_vs_lb {_fmt(ratios.ratio_vs_lb, args.decimal)}")
+    if ratios is not None:
+        print(f"ratio_vs_lb {_fmt(ratios.ratio_vs_lb, args.decimal)}")
     for arc_id in sol.final_arcs:
         arc = inst.arcs[arc_id]
         print(
@@ -109,7 +111,8 @@ def cmd_solve(args) -> int:
         )
     if opt is not None:
         print(f"opt {_fmt(opt, args.decimal)}")
-        print(f"ratio_vs_opt {_fmt(ratios.ratio_vs_opt, args.decimal)}")
+        if ratios is not None:
+            print(f"ratio_vs_opt {_fmt(ratios.ratio_vs_opt, args.decimal)}")
     if report is not None:
         sys.stdout.write(report.render())
     # On stderr, so that stdout stays byte-deterministic.

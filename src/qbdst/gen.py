@@ -1,6 +1,6 @@
 """Instance generators: the adversarial chain family that starves the
 single-bucket baseline, random planar-bipartite grid instances, and the
-connected-vertex-cover reduction with its exhaustive checker.
+connected-vertex-cover reduction.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .instance import (
     FAMILY_PLANAR_BIPARTITE,
@@ -19,8 +18,6 @@ from .instance import (
     Instance,
     ParseError,
 )
-
-CVC_NODE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -257,32 +254,3 @@ def reduce_cvc(g: UndirectedGraph, planar_promise: bool = False) -> Instance:
         arcs=tuple(arcs),
         family=FAMILY_PLANAR_BIPARTITE if planar_promise else FAMILY_UNKNOWN,
     )
-
-
-def brute_cvc(g: UndirectedGraph) -> int:
-    """Minimum size of a vertex cover inducing a connected subgraph, by
-    exhaustive search.  Guarded to 12 nodes."""
-    if g.node_count > CVC_NODE_LIMIT:
-        raise ValueError(f"brute CVC limited to {CVC_NODE_LIMIT} nodes, got {g.node_count}")
-    if not g.edges:
-        return 0
-    vertices = range(1, g.node_count + 1)
-    for k in range(1, g.node_count + 1):
-        for subset in combinations(vertices, k):
-            chosen = set(subset)
-            if not all(u in chosen or v in chosen for u, v in g.edges):
-                continue
-            seen = {subset[0]}
-            work = [subset[0]]
-            while work:
-                x = work.pop()
-                for u, v in g.edges:
-                    if u == x and v in chosen and v not in seen:
-                        seen.add(v)
-                        work.append(v)
-                    elif v == x and u in chosen and u not in seen:
-                        seen.add(u)
-                        work.append(u)
-            if len(seen) == k:
-                return k
-    raise AssertionError("full vertex set is always a connected cover")

@@ -8,8 +8,8 @@ SCC C of F (the core) that excludes the root and holds a terminal, plus
 the Steiner nodes with an F-arc into C, provided no F-arc enters that
 union.  A `Moat` holds C and that union, its vertex set and identity.
 `active_moats` applies it to every SCC of F, `moats_after` to the one
-SCC a purchase can change; `enumerate_minimal_violated_brute` is the
-independent subset-enumeration oracle guarding it.
+SCC a purchase can change; the tests guard both against an independent
+oracle that enumerates vertex subsets.
 
 The survival rule is `survivors`: a moat outlives a purchase when its
 core lies inside an active set after it.  The growth loop kills every
@@ -76,8 +76,6 @@ from .instance import ArcGraph, Instance
 ANTENNA = "antenna"
 EXPANSION = "expansion"
 KILLER = "killer"
-
-BRUTE_NODE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -188,39 +186,6 @@ def moats_after(
     if moat is not None:
         insort(kept, moat, key=_order)
     return kept
-
-
-def enumerate_minimal_violated_brute(
-    inst: Instance, purchased: Iterable[int]
-) -> list[frozenset[int]]:
-    """Testing oracle: all inclusion-minimal violated sets by direct subset
-    enumeration.  Guarded to 16 nodes."""
-    n = inst.node_count
-    if n > BRUTE_NODE_LIMIT:
-        raise ValueError(f"brute enumeration limited to {BRUTE_NODE_LIMIT} nodes, got {n}")
-    arc_bits = [
-        (1 << (inst.arcs[i].tail - 1), 1 << (inst.arcs[i].head - 1)) for i in purchased
-    ]
-    root_bit = 1 << (inst.root - 1)
-    term_mask = 0
-    for t in inst.terminals:
-        term_mask |= 1 << (t - 1)
-
-    masks = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
-    minimal: list[int] = []
-    for mask in masks:
-        if mask & root_bit or not mask & term_mask:
-            continue
-        if any(head & mask and not tail & mask for tail, head in arc_bits):
-            continue
-        if any(sub & mask == sub for sub in minimal):
-            continue
-        minimal.append(mask)
-    result = [
-        frozenset(v + 1 for v in range(n) if mask >> v & 1) for mask in minimal
-    ]
-    result.sort(key=sorted)
-    return result
 
 
 def survivors(moats: Iterable[Moat], after: Iterable[Moat]) -> set[Moat]:

@@ -11,16 +11,25 @@ Python ints in an object array once 4 * big reaches 2^62.  Unit-cost
 instances thus fill an int16 table.
 
 The DP fills its (2^k, n) table one popcount layer at a time, with no
-Python loop per (mask, submask) pair.  A layer's masks go in groups: one
-product of the masks' bits with the layer's bit pattern gives a group's
-split indices, and numpy gathers the two halves' rows and takes the
-minima.  The per-mask split minima are not kept; the reconstruction
-recomputes them with the same helpers for the at most 2k-1 masks it
-visits.  A group's split indices, a gather and a closure batch each hold
-at most _TEMP_ELEMENTS entries, or one mask's splits, one table row or
-the n x n distance matrix when those are larger; the largest other
-temporary is one layer's (popcount - 1) x 2^(popcount - 1) bit pattern.
-Memory beyond the table thus does not grow with the 3^k splits.
+Python loop per (mask, submask) pair, and a layer's masks go in groups.
+A wide layer is one whose masks number at least a quarter of a mask's
+2^(p-1) - 1 splits (p the popcount; p <= 9 at k = 12).  There a group
+walks the subsets of its masks' upper p - 1 bits in Gray-code order:
+each step XORs one bit into every mask's two halves, gathers their rows
+into preallocated buffers and folds the sum into the split minima in
+place, so no numpy reduction runs over a short axis.  A narrow layer has
+too few masks to pay for a numpy call per split; there one product of
+the masks' bits with the layer's bit pattern gives a group's split
+indices, and numpy gathers the two halves' rows and takes the minima.
+Either way the closure over the distance matrix then folds in one node
+at a time.  The per-mask split minima are not kept; the reconstruction
+recomputes them with the narrow layers' helpers for the at most 2k-1
+masks it visits, so which optimum it returns does not depend on the
+rule.  A wide group's buffers, a narrow group's split indices and a
+gather each hold at most _TEMP_ELEMENTS entries, or one mask's splits or
+one table row when those are larger; the largest other temporary is one
+narrow layer's (popcount - 1) x 2^(popcount - 1) bit pattern.  Memory
+beyond the table thus does not grow with the 3^k splits.
 """
 
 from __future__ import annotations
@@ -107,13 +116,16 @@ def exact_opt_dp(inst: Instance) -> OptResult:
     """Terminal-subset DP: D[S][v] is the cheapest way to reach every
     terminal of S from v, built by splitting S at v and walking shortest
     paths.  D is one (2^k, n) table in the narrowest signed integer type
-    that holds 4 * big, filled one popcount layer at a time.  Each group
-    of a layer's masks gets its split indices from one product with the
-    layer's bit pattern; the gathers and the closure over the distance
-    matrix then run in batches of bounded size.  The split minima are not
-    stored: the reconstruction recomputes them with the fill's helpers for
-    the masks it visits.  Guarded to 14 terminals; raises on unreachable
-    terminals."""
+    that holds 4 * big, filled one popcount layer at a time.  A wide
+    layer (masks at least a quarter of a mask's splits) walks each
+    group's splits in Gray-code order with one gather per half and an
+    in-place minimum per step; a narrow layer gets each group's split
+    indices from one product with the layer's bit pattern and gathers
+    them in batches of bounded size.  The closure over the distance
+    matrix then folds in one node at a time.  The split minima are not
+    stored: the reconstruction recomputes them with the narrow layers'
+    helpers for the masks it visits.  Guarded to 14 terminals; raises on
+    unreachable terminals."""
     import numpy as np  # imported here so that the solver and CLI start without it
 
     terminals = sorted(inst.terminals)
@@ -144,15 +156,20 @@ def exact_opt_dp(inst: Instance) -> OptResult:
         pattern &= 1  # in place: at the top layers this is the largest temporary
         return pattern
 
+    def mask_bits(masks, popcount: int):
+        """bits[i][j] is the (j+1)-th lowest bit of masks[i]."""
+        bits = np.empty((len(masks), popcount), dtype=np.int32)
+        rest = masks
+        for j in range(popcount):
+            bits[:, j] = rest & -rest
+            rest = rest ^ bits[:, j]
+        return bits
+
     def submasks(masks, pattern):
         """subs[i] lists the proper submasks of masks[i] that hold its
         lowest bit, in increasing order: column c adds the mask's (j+2)-th
         lowest bit wherever pattern[j][c] is 1."""
-        bits = np.empty((len(masks), len(pattern) + 1), dtype=np.int32)
-        rest = masks
-        for j in range(bits.shape[1]):
-            bits[:, j] = rest & -rest
-            rest = rest ^ bits[:, j]
+        bits = mask_bits(masks, len(pattern) + 1)
         return bits[:, :1] + bits[:, 1:] @ pattern
 
     def split_minima(masks, subs):
@@ -171,22 +188,71 @@ def exact_opt_dp(inst: Instance) -> OptResult:
                 np.minimum(out, sums.min(axis=1), out=out)
         return best
 
-    # The closure's (masks, n, n) sums hold at most _TEMP_ELEMENTS entries
-    # or one n x n matrix.
-    closure = max(1, _TEMP_ELEMENTS // (n * n))
+    def gray_minima(masks, popcount: int):
+        """split_minima over every split of masks, walked in Gray-code
+        order of the splits' upper popcount - 1 bits: each step flips one
+        bit of every mask's `sub` and `comp`, gathers the two halves' rows
+        into preallocated buffers and folds their sum into `best` in place.
+        The all-ones code (sub = mask) is no split and is skipped."""
+        bits = mask_bits(masks, popcount)
+        sub = bits[:, 0].copy()
+        comp = masks ^ sub
+        best = np.full((len(masks), n), big, dtype=dtype)
+        half = np.empty_like(best)
+        other = np.empty_like(best)
+        ones = (1 << (popcount - 1)) - 1
+        for code in range(ones + 1):
+            if code:
+                # Gray code `code` differs from its predecessor in bit
+                # j = ctz(code), the mask's (j+2)-th lowest bit: column j + 1.
+                flip = bits[:, (code & -code).bit_length()]
+                sub ^= flip
+                comp ^= flip
+                if code ^ (code >> 1) == ones:
+                    continue
+            # mode="clip" spares the copy through a temporary that the
+            # default "raise" makes when given `out`; every index is a
+            # submask of a mask in the table, so none is clipped.
+            D.take(sub, axis=0, out=half, mode="clip")
+            D.take(comp, axis=0, out=other, mode="clip")
+            half += other
+            np.minimum(best, half, out=best)
+        return best
+
+    # to_node[u][v] is the distance from node v + 1 to node u + 1.
+    to_node = np.ascontiguousarray(dist_matrix.T)
+
+    def close(best):
+        """out[i][v] = min over u of dist(v, u) + best[i][u], folded one
+        node u at a time into an (masks, n) accumulator."""
+        out = best[:, :1] + to_node[0]
+        term = np.empty_like(out)
+        for u in range(1, n):
+            np.add(best[:, u : u + 1], to_node[u], out=term)
+            np.minimum(out, term, out=out)
+        return out
 
     def fill_layer(layer, popcount: int) -> None:
-        """D[mask] for the masks of one popcount layer, in groups whose
-        split indices and split minima hold at most _TEMP_ELEMENTS entries;
-        a mask with more splits than that goes alone."""
-        pattern = split_pattern(popcount)
-        group = max(1, _TEMP_ELEMENTS // max(pattern.shape[1], n))
+        """D[mask] for the masks of one popcount layer, in groups.  A wide
+        layer, whose masks number at least a quarter of a mask's splits,
+        walks the splits in Gray-code order in groups of at most
+        _TEMP_ELEMENTS // n masks.  A narrow layer has too few masks to
+        amortise a numpy call per split, so its groups gather split indices
+        and split minima of at most _TEMP_ELEMENTS entries each; a mask
+        with more splits than that goes alone."""
+        wide = 4 * len(layer) >= (1 << (popcount - 1)) - 1
+        if wide:
+            group = max(1, _TEMP_ELEMENTS // n)
+        else:
+            pattern = split_pattern(popcount)
+            group = max(1, _TEMP_ELEMENTS // max(pattern.shape[1], n))
         for start in range(0, len(layer), group):
             masks = layer[start : start + group]
-            best = split_minima(masks, submasks(masks, pattern))
-            for row in range(0, len(masks), closure):
-                sums = dist_matrix + best[row : row + closure, np.newaxis, :]
-                D[masks[row : row + closure]] = sums.min(axis=2)
+            if wide:
+                best = gray_minima(masks, popcount)
+            else:
+                best = split_minima(masks, submasks(masks, pattern))
+            D[masks] = close(best)
 
     for i, t in enumerate(terminals):
         D[1 << i] = dist_matrix[:, t - 1]

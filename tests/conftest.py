@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Iterable
 
 from qbdst.engine import GrowthTrace
 from qbdst.instance import Arc, Instance, validate
@@ -21,6 +22,74 @@ FOUR_NODE = (
     "NODES 3\nROOT 1\nTERMINALS 2 3\n"
     "ARC 1 2 3\nARC 1 3 3\nARC 3 2 1\nARC 2 3 1\nEND\n"
 )
+
+
+# Independent oracles for the moats and the hardness reduction, used only
+# by the tests.
+BRUTE_NODE_LIMIT = 16
+CVC_NODE_LIMIT = 12
+
+
+def enumerate_minimal_violated_brute(
+    inst: Instance, purchased: Iterable[int]
+) -> list[frozenset[int]]:
+    """All inclusion-minimal violated sets by direct subset
+    enumeration.  Guarded to 16 nodes."""
+    n = inst.node_count
+    if n > BRUTE_NODE_LIMIT:
+        raise ValueError(f"brute enumeration limited to {BRUTE_NODE_LIMIT} nodes, got {n}")
+    arc_bits = [
+        (1 << (inst.arcs[i].tail - 1), 1 << (inst.arcs[i].head - 1)) for i in purchased
+    ]
+    root_bit = 1 << (inst.root - 1)
+    term_mask = 0
+    for t in inst.terminals:
+        term_mask |= 1 << (t - 1)
+
+    masks = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    minimal: list[int] = []
+    for mask in masks:
+        if mask & root_bit or not mask & term_mask:
+            continue
+        if any(head & mask and not tail & mask for tail, head in arc_bits):
+            continue
+        if any(sub & mask == sub for sub in minimal):
+            continue
+        minimal.append(mask)
+    result = [
+        frozenset(v + 1 for v in range(n) if mask >> v & 1) for mask in minimal
+    ]
+    result.sort(key=sorted)
+    return result
+
+
+def brute_cvc(g: UndirectedGraph) -> int:
+    """Minimum size of a vertex cover inducing a connected subgraph, by
+    exhaustive search.  Guarded to 12 nodes."""
+    if g.node_count > CVC_NODE_LIMIT:
+        raise ValueError(f"brute CVC limited to {CVC_NODE_LIMIT} nodes, got {g.node_count}")
+    if not g.edges:
+        return 0
+    vertices = range(1, g.node_count + 1)
+    for k in range(1, g.node_count + 1):
+        for subset in combinations(vertices, k):
+            chosen = set(subset)
+            if not all(u in chosen or v in chosen for u, v in g.edges):
+                continue
+            seen = {subset[0]}
+            work = [subset[0]]
+            while work:
+                x = work.pop()
+                for u, v in g.edges:
+                    if u == x and v in chosen and v not in seen:
+                        seen.add(v)
+                        work.append(v)
+                    elif v == x and u in chosen and u not in seen:
+                        seen.add(u)
+                        work.append(u)
+            if len(seen) == k:
+                return k
+    raise AssertionError("full vertex set is always a connected cover")
 
 
 class InvariantBreach(RuntimeError):

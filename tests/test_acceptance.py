@@ -13,16 +13,18 @@ import pytest
 
 from qbdst.audit import run_full
 from qbdst.engine import Payment, solve, solve_standard_baseline
-from qbdst.gen import brute_cvc, gen_bad_example, reduce_cvc
+from qbdst.gen import gen_bad_example, reduce_cvc
 from qbdst.instance import parse_instance, validate
-from qbdst.moats import EXPANSION, KILLER, active_moats, enumerate_minimal_violated_brute
+from qbdst.moats import EXPANSION, KILLER, active_moats
 from qbdst.oracle import exact_opt_brute, exact_opt_dp
 
 from conftest import (
     FOUR_NODE,
     acceptance_corpus,
     alive_report,
+    brute_cvc,
     connected_graphs_up_to_iso,
+    enumerate_minimal_violated_brute,
     random_connected_graph,
     random_qb_instance,
     random_valid_instance,

@@ -24,10 +24,10 @@ from qbdst.engine import (
 )
 from qbdst.gen import gen_bad_example, gen_grid
 from qbdst.instance import Instance, instance_hash, parse_instance
-from qbdst.moats import KILLER
+from qbdst.moats import KILLER, is_antenna_arc
 from qbdst.oracle import exact_opt_dp
 
-from conftest import FOUR_NODE, SINGLE_ARC, random_valid_instance
+from conftest import FOUR_NODE, SINGLE_ARC, acceptance_corpus, random_valid_instance
 
 EPS = Fraction(1, 100)
 
@@ -62,6 +62,50 @@ def test_antenna_arcs_load_at_most_cost():
             if inst.is_steiner(arc.tail) and arc.head in inst.terminals:
                 assert loads[arc_id] <= arc.cost
 
+
+
+def _dual_loads_reference(inst, trace):
+    """verify_dual_feasibility as an all-arcs loop: every dual set is
+    tested against every arc of the instance."""
+    duals = trace.duals
+    nodes = range(1, inst.node_count + 1)
+    ok = all(
+        members.issubset(nodes)
+        and inst.root not in members
+        and not members.isdisjoint(inst.terminals)
+        for members in duals
+    )
+    loads = {arc_id: Fraction(0) for arc_id in range(len(inst.arcs))}
+    for members, y in duals.items():
+        for arc_id, arc in enumerate(inst.arcs):
+            if arc.head in members and arc.tail not in members:
+                loads[arc_id] += y
+    for arc_id, load in loads.items():
+        cap = inst.arcs[arc_id].cost
+        if load > (cap if is_antenna_arc(inst, arc_id) else 2 * cap):
+            ok = False
+    return loads, ok
+
+
+def test_dual_loads_by_head_match_all_arcs_loop():
+    # Both modes on the acceptance corpus and 100 seeded random instances,
+    # each also with every epsilon tripled, so that loads exceed their caps
+    # and the verdict is false on some runs.
+    rng = random.Random(44)
+    instances = [inst for _, inst in acceptance_corpus()]
+    instances += [random_valid_instance(rng, max_nodes=7, max_arcs=24) for _ in range(100)]
+    verdicts = set()
+    for inst in instances:
+        for run in (solve, solve_standard_baseline):
+            _, trace = run(inst)
+            tripled = replace(
+                trace, iterations=[replace(r, epsilon=3 * r.epsilon) for r in trace.iterations]
+            )
+            for checked in (trace, tripled):
+                got = verify_dual_feasibility(inst, checked)
+                assert got == _dual_loads_reference(inst, checked)
+                verdicts.add(got[1])
+    assert verdicts == {True, False}
 
 @pytest.mark.parametrize(
     "moat, flaw",

@@ -105,6 +105,24 @@ def test_solve_deterministic_output(four_node_file):
     assert first.stderr.startswith("wall_time_s ")
 
 
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--audit"], ["--oracle"], ["--audit", "--oracle"]], ids=str
+)
+def test_solve_prints_each_ratio_once(tmp_path, capsys, flags):
+    # Without --audit, solve prints its ratios; with it, only the audit
+    # report's certified ones appear, ratio_vs_opt as n/a without --oracle.
+    path = tmp_path / "bad4.txt"
+    path.write_text(serialize_instance(gen_bad_example(4, Fraction(1, 100))), encoding="utf-8")
+    assert cli.main(["solve", str(path), *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("ratio_vs_lb ")] == ["ratio_vs_lb 506/203"]
+    opt_lines = [line for line in lines if line.startswith("ratio_vs_opt ")]
+    if "--oracle" in flags:
+        assert opt_lines == ["ratio_vs_opt 1"]
+    else:
+        assert opt_lines == (["ratio_vs_opt n/a"] if "--audit" in flags else [])
+
 def test_gen_badexample_schema():
     result = run_cli("gen", "badexample", "--k", "3", "--eps", "1/100")
     assert result.returncode == 0

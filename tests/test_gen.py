@@ -7,7 +7,6 @@ import pytest
 from qbdst.engine import solve, solve_standard_baseline
 from qbdst.gen import (
     UndirectedGraph,
-    brute_cvc,
     gen_bad_example,
     gen_grid,
     parse_undirected,
@@ -16,7 +15,7 @@ from qbdst.gen import (
 from qbdst.instance import serialize_instance, validate
 from qbdst.oracle import exact_opt_dp
 
-from conftest import random_connected_graph
+from conftest import brute_cvc, random_connected_graph
 
 EPS = Fraction(1, 100)
 

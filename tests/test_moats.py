@@ -14,12 +14,16 @@ from qbdst.moats import (
     KILLER,
     active_moats,
     classify_arc,
-    enumerate_minimal_violated_brute,
     moats_after,
     survivors,
 )
 
-from conftest import acceptance_corpus, random_qb_instance, random_valid_instance
+from conftest import (
+    acceptance_corpus,
+    enumerate_minimal_violated_brute,
+    random_qb_instance,
+    random_valid_instance,
+)
 
 
 def _inst(text: str) -> Instance:

@@ -10,10 +10,13 @@ import pytest
 from qbdst import oracle
 from qbdst.engine import solve
 from qbdst.gen import gen_bad_example, reduce_cvc
-from qbdst.instance import Arc, Instance, is_feasible, parse_instance
+from qbdst.instance import Arc, Instance, is_feasible, parse_instance, validate
 from qbdst.oracle import (
     InfeasibleInstanceError,
+    OptResult,
     OracleGuardError,
+    _dijkstra_all,
+    _path_arcs,
     _scaled_costs,
     exact_opt_brute,
     exact_opt_dp,
@@ -131,6 +134,160 @@ def test_dp_digest_holds_with_tiny_temporaries(monkeypatch):
     assert _dp_digest(map(run, _dp_digest_corpus())) == DP_DIGEST
 
 
+
+def _exact_opt_dp_reference(inst: Instance) -> OptResult:
+    """exact_opt_dp with the table fill it had before the Gray-code walk:
+    every layer's split indices come from one product of the masks' bits
+    with the layer's bit pattern, the split minima from a min over the
+    gathered splits, and the closure from one (masks, n, n) sum and its
+    minimum over the last axis.  The reconstruction is the production
+    one, so equal tables give an equal OptResult."""
+    terminals = sorted(inst.terminals)
+    k = len(terminals)
+    costs, scale = _scaled_costs(inst)
+    big = sum(costs) + 1
+    n = inst.node_count
+    dtype = np.min_scalar_type(-4 * big) if 4 * big < 2**62 else object
+    dist_all, parent_all = _dijkstra_all(inst, costs, big)
+    dist_matrix = np.array(dist_all, dtype=dtype)
+    full = (1 << k) - 1
+    D = np.empty((full + 1, n), dtype=dtype)
+    temp = 1 << 14
+
+    def split_pattern(popcount):
+        shifts = np.arange(popcount - 1, dtype=np.int32)[:, np.newaxis]
+        pattern = np.arange((1 << (popcount - 1)) - 1, dtype=np.int32) >> shifts
+        pattern &= 1
+        return pattern
+
+    def submasks(masks, pattern):
+        bits = np.empty((len(masks), len(pattern) + 1), dtype=np.int32)
+        rest = masks
+        for j in range(bits.shape[1]):
+            bits[:, j] = rest & -rest
+            rest = rest ^ bits[:, j]
+        return bits[:, :1] + bits[:, 1:] @ pattern
+
+    def split_minima(masks, subs):
+        best = np.full((len(masks), n), big, dtype=dtype)
+        rows = max(1, temp // (n * subs.shape[1]))
+        step = max(1, temp // (rows * n))
+        for row in range(0, len(masks), rows):
+            out = best[row : row + rows]
+            for start in range(0, subs.shape[1], step):
+                part = subs[row : row + rows, start : start + step]
+                sums = D[part] + D[masks[row : row + rows, np.newaxis] ^ part]
+                np.minimum(out, sums.min(axis=1), out=out)
+        return best
+
+    closure = max(1, temp // (n * n))
+
+    def fill_layer(layer, popcount):
+        pattern = split_pattern(popcount)
+        group = max(1, temp // max(pattern.shape[1], n))
+        for start in range(0, len(layer), group):
+            masks = layer[start : start + group]
+            best = split_minima(masks, submasks(masks, pattern))
+            for row in range(0, len(masks), closure):
+                sums = dist_matrix + best[row : row + closure, np.newaxis, :]
+                D[masks[row : row + closure]] = sums.min(axis=2)
+
+    for i, t in enumerate(terminals):
+        D[1 << i] = dist_matrix[:, t - 1]
+    popcounts = np.array([m.bit_count() for m in range(full + 1)])
+    for popcount in range(2, k + 1):
+        fill_layer(np.flatnonzero(popcounts == popcount).astype(np.int32), popcount)
+
+    opt_scaled = int(D[full][inst.root - 1])
+    arcs: set[int] = set()
+    stack = [(full, inst.root)]
+    while stack:
+        mask, v = stack.pop()
+        if mask.bit_count() == 1:
+            arcs |= _path_arcs(parent_all, inst, v, terminals[mask.bit_length() - 1])
+            continue
+        masks = np.array([mask], dtype=np.int32)
+        subs = submasks(masks, split_pattern(mask.bit_count()))
+        best = split_minima(masks, subs)[0]
+        u = int(np.argmin(dist_matrix[v - 1] + best)) + 1
+        arcs |= _path_arcs(parent_all, inst, v, u)
+        subs = subs[0]
+        hits = np.flatnonzero(D[subs, u - 1] + D[mask ^ subs, u - 1] == best[u - 1])
+        sub = int(subs[hits[-1]])
+        stack.append((sub, u))
+        stack.append((mask ^ sub, u))
+    return OptResult(Fraction(opt_scaled, scale), frozenset(arcs), "subset_dp")
+
+
+def _dp_instance(rng: random.Random, k: int, steiner: int) -> Instance:
+    """Seeded quasi-bipartite instance: root 1, terminals 2..k+1, then the
+    Steiner nodes.  Each terminal gets an arc from the root or an earlier
+    terminal, so every one is reachable, and other arcs are drawn sparsely
+    so that small k stays within the brute oracle's arc limit.  The last
+    Steiner node has in-arcs only and reaches no terminal, as does any
+    terminal that drew no out-arc; their table entries stay at `big`."""
+    n = 1 + k + steiner
+    sink = n
+    arcs: dict[tuple[int, int], Fraction] = {}
+
+    def cost() -> Fraction:
+        return Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3)))
+
+    for t in range(2, k + 2):
+        arcs[(rng.randint(1, t - 1), t)] = cost()
+    for u in range(1, n + 1):
+        for v in range(2, n + 1):
+            steiner_pair = u > k + 1 and v > k + 1
+            if u == v or steiner_pair or u == sink or (u, v) in arcs:
+                continue
+            if rng.random() < 1.5 / n:
+                arcs[(u, v)] = cost()
+    arcs.setdefault((rng.randint(1, k + 1), sink), cost())
+    inst = Instance(
+        node_count=n,
+        root=1,
+        terminals=frozenset(range(2, k + 2)),
+        arcs=tuple(Arc(u, v, c) for (u, v), c in sorted(arcs.items())),
+    )
+    assert not validate(inst)
+    return inst
+
+
+# A scaled cost total that puts 4 * big, the table's dtype bound, in each
+# dtype's range; the object dtype takes a rational multiplier past 2^62.
+_DTYPE_TOTAL = {"int16": 2000, "int32": 10**6, "int64": 2**40, "object": None}
+
+
+def _table_dtype(inst: Instance) -> str:
+    costs, _ = _scaled_costs(inst)
+    bound = 4 * (sum(costs) + 1)
+    return str(np.min_scalar_type(-bound)) if bound < 2**62 else "object"
+
+
+@pytest.mark.parametrize("dtype", list(_DTYPE_TOTAL))
+def test_dp_equals_reference_fill(dtype):
+    # k = 1..14 terminals (the object dtype, on Python ints, stops at 8).
+    # From k = 4 on, the top layer p = k falls on the narrow side of the
+    # fill's rule (4 C(k, p) < 2^(p-1) - 1) and layer 2 on the wide side,
+    # so both fills and the closure run on every such table.
+    rng = random.Random(f"dp-reference:{dtype}")
+    for k in range(1, 9 if dtype == "object" else 15):
+        for _ in range(3 if k <= 6 else 1):
+            base = _dp_instance(rng, k, rng.randint(1, 3))
+            total = sum(_scaled_costs(base)[0])
+            if dtype == "object":
+                factor = 2**62 + Fraction(1, 3)
+            else:
+                factor = max(1, _DTYPE_TOTAL[dtype] // max(1, total))
+            inst = replace(base, arcs=tuple(a._replace(cost=a.cost * factor) for a in base.arcs))
+            assert _table_dtype(inst) == dtype
+            result = exact_opt_dp(inst)
+            assert result == _exact_opt_dp_reference(inst), (k, dtype)
+            # The brute oracle takes up to 6 s at its limit of 20 arcs here.
+            if len(inst.arcs) <= 16:
+                assert result.opt_cost == exact_opt_brute(inst).opt_cost, (k, dtype)
+
+
 @pytest.mark.parametrize("bits", [7, 15, 31])
 def test_dp_at_dtype_boundaries_equals_brute(bits):
     # The table's dtype is the narrowest signed type holding 4 * big, so it
@@ -164,10 +321,11 @@ def test_dp_at_dtype_boundaries_equals_brute(bits):
 
 def test_dp_temporaries_stay_bounded():
     # Beyond its (2^k, n) table the DP holds only bounded temporaries.  On
-    # the 14-terminal bad example (a 2^14 x 28 table) the excess is about
-    # 4.8 units of _TEMP_ELEMENTS int64 entries; the per-batch fill with an
-    # int64 table reached 6.7, and building a whole layer's split indices
-    # at once reaches about 32.
+    # the 14-terminal bad example (a 2^14 x 28 int16 table) the excess is
+    # 4.79 units of _TEMP_ELEMENTS int64 entries with the Gray-code walk of
+    # the wide layers, against 4.78 with every layer filled from split
+    # indices; the per-batch fill with an int64 table reached 6.7, and
+    # building a whole layer's split indices at once reaches about 32.
     inst = gen_bad_example(12, Fraction(1, 7))
     costs, _ = _scaled_costs(inst)
     itemsize = np.min_scalar_type(-4 * (sum(costs) + 1)).itemsize
