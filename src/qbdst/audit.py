@@ -5,9 +5,11 @@ bounds on antenna/killer/expansion arcs.
 `run_full` trusts nothing recorded: it regrows the run from the instance
 with the engine's own loop (`engine.grow`) and compares the regrown trace
 with the recorded one field by field, naming the first divergence.  The
-three `verify_*` checks are plain arithmetic over whatever trace and
-solution they are given (its payments and duals); `run_full` gives them
-the regrown trace and its reverse-deleted solution, the one it certifies.
+three `verify_*` checks are plain arithmetic over what they are given:
+the cost identity and the counting lemmas over a trace's payments and a
+solution's labels, dual feasibility over a vertex set -> y mapping.
+`run_full` gives them the regrown trace, its duals and its
+reverse-deleted solution, the one it certifies.
 """
 
 from __future__ import annotations
@@ -27,21 +29,15 @@ from .moats import active_moats, classify_arc  # noqa: F401
 PLANAR_RATIO_BOUND = Fraction(20)
 
 
-@dataclass
-class IterationDelta:
-    """Counts of final-solution arcs paid per moat at one iteration, split
-    by the role they were eventually bought under.  The three per-moat arc
-    sets are pairwise disjoint by construction."""
-
-    index: int
-    moat_count: int
-    per_moat: dict[frozenset[int], tuple[int, int, int]]  # vertices -> (ant, killer, exp)
-    killer_front: frozenset[int]  # final killer arcs paid here
-    expansion_front: frozenset[int]  # final expansion arcs paid here
-
-    @property
-    def delta_total(self) -> int:
-        return sum(sum(c) for c in self.per_moat.values())
+def _fmt(value, decimal: bool) -> str:
+    """`value` exactly, or n/a for None; with `decimal`, a non-integer
+    Fraction also gets an approximation marked with '~'."""
+    if value is None:
+        return "n/a"
+    text = str(value)
+    if decimal and isinstance(value, Fraction) and value.denominator != 1:
+        text += f" (~{float(value):.6g})"
+    return text
 
 
 @dataclass
@@ -70,16 +66,16 @@ class AuditReport:
             and not self.breaches
         )
 
-    def render(self) -> str:
+    def render(self, decimal: bool = False) -> str:
         lines = [
             f"payments_consistent {str(self.payments_consistent).lower()}",
             f"cost_identity_ok {str(self.cost_identity_ok).lower()}",
             f"dual_feasible_ok {str(self.dual_feasible_ok).lower()}",
             "lemmas_ok "
             + ("skipped" if self.lemmas_ok is None else str(self.lemmas_ok).lower()),
-            "alpha_max " + (str(self.alpha_max) if self.alpha_max is not None else "n/a"),
-            "ratio_vs_lb " + (str(self.ratio_vs_lb) if self.ratio_vs_lb is not None else "n/a"),
-            "ratio_vs_opt " + (str(self.ratio_vs_opt) if self.ratio_vs_opt is not None else "n/a"),
+            f"alpha_max {_fmt(self.alpha_max, decimal)}",
+            f"ratio_vs_lb {_fmt(self.ratio_vs_lb, decimal)}",
+            f"ratio_vs_opt {_fmt(self.ratio_vs_opt, decimal)}",
         ]
         if self.divergence is not None:
             index, name = self.divergence
@@ -94,13 +90,12 @@ class AuditReport:
 
 
 def verify_dual_feasibility(
-    inst: Instance, trace: GrowthTrace
+    inst: Instance, duals: dict[frozenset[int], Fraction]
 ) -> tuple[dict[int, Fraction], bool]:
-    """Per-arc dual load (sum of y over sets the arc enters) and whether
-    every load is at most 2c, with antenna arcs at most c, and every set
-    with a dual is a cut the LP bound counts: nodes in 1..n, no root, a
-    terminal."""
-    duals = trace.duals
+    """Per-arc dual load (sum of y over the sets of `duals`, a vertex set
+    -> y mapping, that the arc enters) and whether every load is at most
+    2c, with antenna arcs at most c, and every set with a dual is a cut the
+    LP bound counts: nodes in 1..n, no root, a terminal."""
     nodes = range(1, inst.node_count + 1)
     ok = all(
         members.issubset(nodes)
@@ -129,85 +124,72 @@ def verify_dual_feasibility(
     return loads, ok
 
 
-def verify_cost_identity(
-    inst: Instance, trace: GrowthTrace, sol: Solution
-) -> tuple[bool, list[tuple[int, Fraction, int]]]:
-    """Count, per iteration, the trace's payments to final arcs under their
-    eventual purchase label (any payment in standard mode), and check that
-    sum_l epsilon_l * sum_A |Delta_l(A)| equals the pruned cost exactly.
-    The payments are read from the trace, not re-derived; `run_full` passes
-    a regrown trace.
-
-    Returns (ok, table) with table rows (iteration, epsilon, delta_total).
-    """
+def verify_cost_identity(inst: Instance, trace: GrowthTrace, sol: Solution) -> bool:
+    """Whether sum_l epsilon_l * sum_A |Delta_l(A)| equals the pruned cost
+    exactly, where |Delta_l(A)| counts iteration l's payments to final arcs
+    under their eventual purchase label (any payment in standard mode).
+    An epsilon-0 iteration adds nothing, so its payments are not read.
+    The payments are read from the trace, not re-derived; `run_full`
+    passes a regrown trace."""
     final_labels = sol.arc_labels
     bucketed = trace.mode == MODE_BUCKETED
-    table = []
     total = Fraction(0)
     for rec in trace.iterations:
-        count = sum(
-            1
-            for p in rec.payments
-            if p.arc in final_labels and (not bucketed or p.kind == final_labels[p.arc])
-        )
-        table.append((rec.index, rec.epsilon, count))
-        total += rec.epsilon * count
-    return total == sol.total_cost, table
+        if rec.epsilon:
+            count = sum(
+                1
+                for p in rec.payments
+                if p.arc in final_labels and (not bucketed or p.kind == final_labels[p.arc])
+            )
+            total += rec.epsilon * count
+    return total == sol.total_cost
 
 
 def verify_counting_lemmas(
     inst: Instance, trace: GrowthTrace, sol: Solution
-) -> tuple[bool, list[IterationDelta], Fraction | None]:
-    """Per-iteration checks on final-solution arcs: at most one antenna arc
-    enters each moat and their total is at most the moat count, final
-    killer arcs being paid number at most the moat count, and final
-    expansion arcs at most twice the moat count.  Also reports the largest
-    delta-to-moat ratio seen.  Counts come from the trace's payments, as in
-    `verify_cost_identity`.  Only defined for bucketed traces."""
+) -> tuple[bool, Fraction | None]:
+    """Per-iteration checks on the payments to final arcs under their
+    eventual purchase label: at most one antenna arc paid per moat and at
+    most the moat count in all, at most the moat count of distinct killer
+    arcs, and at most twice the moat count of distinct expansion arcs.
+    Every iteration is checked, epsilon 0 or not.  Returns (ok, alpha_max),
+    alpha_max the largest ratio of such payments to moats.  Counts come
+    from the trace's payments, as in `verify_cost_identity`.  Only defined
+    for bucketed traces."""
     if trace.mode != MODE_BUCKETED:
         raise ValueError("counting lemmas apply to bucketed traces only")
     final_labels = sol.arc_labels
-    deltas: list[IterationDelta] = []
     ok = True
     alpha_max: Fraction | None = None
     for rec in trace.iterations:
-        per_moat = {vertices: [0, 0, 0] for vertices in rec.moats}
-        killer_front: set[int] = set()
-        expansion_front: set[int] = set()
+        moat_count = len(rec.moats)
+        antenna_moats: set[frozenset[int]] = set()
+        killers: set[int] = set()
+        expansions: set[int] = set()
+        paid = 0
         for p in rec.payments:
             if final_labels.get(p.arc) != p.kind:
                 continue
-            counts = per_moat.setdefault(p.moat, [0, 0, 0])
+            paid += 1
             if p.kind == ANTENNA:
-                counts[0] += 1
+                if p.moat in antenna_moats:
+                    ok = False  # a second antenna payment into one moat
+                antenna_moats.add(p.moat)
             elif p.kind == KILLER:
-                counts[1] += 1
-                killer_front.add(p.arc)
+                killers.add(p.arc)
             else:
-                counts[2] += 1
-                expansion_front.add(p.arc)
-        delta = IterationDelta(
-            index=rec.index,
-            moat_count=len(rec.moats),
-            per_moat={k: tuple(v) for k, v in per_moat.items()},
-            killer_front=frozenset(killer_front),
-            expansion_front=frozenset(expansion_front),
-        )
-        deltas.append(delta)
-        ants = [c[0] for c in delta.per_moat.values()]
-        if any(a > 1 for a in ants):
+                expansions.add(p.arc)
+        if (
+            len(antenna_moats) > moat_count
+            or len(killers) > moat_count
+            or len(expansions) > 2 * moat_count
+        ):
             ok = False
-        if sum(ants) > delta.moat_count:
-            ok = False
-        if len(killer_front) > delta.moat_count:
-            ok = False
-        if len(expansion_front) > 2 * delta.moat_count:
-            ok = False
-        if delta.moat_count:
-            alpha = Fraction(delta.delta_total, delta.moat_count)
+        if moat_count:
+            alpha = Fraction(paid, moat_count)
             if alpha_max is None or alpha > alpha_max:
                 alpha_max = alpha
-    return ok, deltas, alpha_max
+    return ok, alpha_max
 
 
 def minor_free_ratio_bound(r: int) -> float:
@@ -323,10 +305,8 @@ def run_full(
         report.divergence = (None, SOLUTION)
     report.payments_consistent = report.divergence is None
 
-    report.cost_identity_ok, _ = verify_cost_identity(inst, regrown, certified)
-    _, report.dual_feasible_ok = verify_dual_feasibility(inst, regrown)
+    report.cost_identity_ok = verify_cost_identity(inst, regrown, certified)
+    _, report.dual_feasible_ok = verify_dual_feasibility(inst, regrown.duals)
     if regrown.mode == MODE_BUCKETED:
-        report.lemmas_ok, _, report.alpha_max = verify_counting_lemmas(
-            inst, regrown, certified
-        )
+        report.lemmas_ok, report.alpha_max = verify_counting_lemmas(inst, regrown, certified)
     return report

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import audit as audit_mod
 from . import engine, gen, oracle
+from .audit import _fmt
 from .instance import (
     InputError,
     Instance,
@@ -43,15 +44,6 @@ EXIT_GUARD = 3
 # The input errors: what `main` reports as one line with EXIT_INVALID, and
 # what `bench` records per file.
 INPUT_ERRORS = (InputError, OSError)
-
-
-def _fmt(value, decimal: bool) -> str:
-    if value is None:
-        return "n/a"
-    text = str(value)
-    if decimal and isinstance(value, Fraction) and value.denominator != 1:
-        text += f" (~{float(value):.6g})"
-    return text
 
 
 def _read(path: str, parse):
@@ -114,7 +106,7 @@ def cmd_solve(args) -> int:
         if ratios is not None:
             print(f"ratio_vs_opt {_fmt(ratios.ratio_vs_opt, args.decimal)}")
     if report is not None:
-        sys.stdout.write(report.render())
+        sys.stdout.write(report.render(args.decimal))
     # On stderr, so that stdout stays byte-deterministic.
     print(f"wall_time_s {time.perf_counter() - started:.3f}", file=sys.stderr)
     return EXIT_BREACH if report is not None and not report.all_ok else EXIT_OK

@@ -140,23 +140,20 @@ def parse_instance(text: str) -> Instance:
         elif keyword == "FAMILY":
             if not args:
                 raise err(lineno, "FAMILY expects a tag")
-            tag = args[0]
-            if tag == FAMILY_MINOR_FREE:
-                if len(args) != 2:
-                    raise err(lineno, "FAMILY minor_free expects an integer r")
+            family, params = args[0], args[1:]
+            minor_r = None
+            if len(params) == 1:
                 try:
-                    minor_r = int(args[1])
+                    minor_r = int(params[0])
                 except ValueError:
-                    raise err(lineno, "FAMILY minor_free expects an integer r") from None
-                if minor_r < 2:
-                    raise err(lineno, f"FAMILY minor_free needs r >= 2, got {args[1]}")
-                family = FAMILY_MINOR_FREE
-            elif tag in (FAMILY_PLANAR_BIPARTITE, FAMILY_UNKNOWN):
-                if len(args) != 1:
-                    raise err(lineno, f"FAMILY {tag} takes no parameter")
-                family = tag
-            else:
-                raise err(lineno, f"unknown family tag {tag!r}")
+                    pass
+            problem = _family_violation(family, minor_r)
+            # What only the text shows: a parameter that is no integer, or
+            # one too many.
+            if problem is None and len(params) > (minor_r is not None):
+                problem = f"FAMILY {family}: stray parameter {params[-1]!r}"
+            if problem is not None:
+                raise err(lineno, problem)
         elif keyword == "ARC":
             if len(args) != 3:
                 raise err(lineno, "ARC expects <tail> <head> <cost>")
@@ -271,6 +268,22 @@ def is_feasible(inst: Instance, arc_ids: Iterable[int]) -> bool:
     return inst.terminals <= ArcGraph(inst, arc_ids).reach([inst.root])
 
 
+def _family_violation(family: str, minor_r: int | None) -> str | None:
+    """What is wrong with a family declaration, or None when a FAMILY line
+    can express it: a known tag, and an integer r >= 2 exactly for
+    minor_free.  The one family rule of `parse_instance` and `validate`."""
+    if family == FAMILY_MINOR_FREE:
+        if minor_r is None:
+            return "FAMILY minor_free expects an integer r"
+        if minor_r < 2:
+            return f"FAMILY minor_free needs r >= 2, got {minor_r}"
+    elif family not in (FAMILY_PLANAR_BIPARTITE, FAMILY_UNKNOWN):
+        return f"unknown family tag {family!r}"
+    elif minor_r is not None:
+        return f"FAMILY {family} takes no parameter"
+    return None
+
+
 def validate(inst: Instance) -> list[str]:
     """Check all instance invariants; returns a list of violations.
 
@@ -313,15 +326,9 @@ def validate(inst: Instance) -> list[str]:
         for t in sorted(inst.terminals):
             if t not in reached:
                 violations.append(f"terminal {t}: unreachable from root")
-    if inst.family == FAMILY_MINOR_FREE:
-        if inst.minor_r is None:
-            violations.append("FAMILY minor_free expects an integer r")
-        elif inst.minor_r < 2:
-            violations.append(f"FAMILY minor_free needs r >= 2, got {inst.minor_r}")
-    elif inst.family not in (FAMILY_PLANAR_BIPARTITE, FAMILY_UNKNOWN):
-        violations.append(f"unknown family tag {inst.family!r}")
-    elif inst.minor_r is not None:
-        violations.append(f"FAMILY {inst.family} takes no parameter")
+    problem = _family_violation(inst.family, inst.minor_r)
+    if problem is not None:
+        violations.append(problem)
     return violations
 
 

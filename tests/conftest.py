@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable
 
-from qbdst.engine import GrowthTrace
+from qbdst.engine import MODE_BUCKETED, GrowthTrace, Solution
 from qbdst.instance import Arc, Instance, validate
+from qbdst.moats import ANTENNA, KILLER
 from qbdst.gen import UndirectedGraph, gen_bad_example, gen_grid, reduce_cvc
 
 SINGLE_ARC = "NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 5\nEND\n"
@@ -117,6 +119,76 @@ def alive_report(trace: GrowthTrace) -> dict[int, dict[int, bool]]:
         report[rec.index] = {t: t in alive for t in sorted(trace.terminals)}
         alive.difference_update(rec.kills)
     return report
+
+
+@dataclass
+class IterationDelta:
+    """Counts of final-solution arcs paid per moat at one iteration, split
+    by the role they were eventually bought under.  The three per-moat arc
+    sets are pairwise disjoint by construction."""
+
+    index: int
+    moat_count: int
+    per_moat: dict[frozenset[int], tuple[int, int, int]]  # vertices -> (ant, killer, exp)
+    killer_front: frozenset[int]  # final killer arcs paid here
+    expansion_front: frozenset[int]  # final expansion arcs paid here
+
+    @property
+    def delta_total(self) -> int:
+        return sum(sum(c) for c in self.per_moat.values())
+
+    def broken_bounds(self) -> list[str]:
+        """The counting bounds this iteration breaks, by name."""
+        ants = [c[0] for c in self.per_moat.values()]
+        flags = {
+            "antenna_per_moat": any(a > 1 for a in ants),
+            "antennas": sum(ants) > self.moat_count,
+            "killers": len(self.killer_front) > self.moat_count,
+            "expansions": len(self.expansion_front) > 2 * self.moat_count,
+        }
+        return [name for name, broken in flags.items() if broken]
+
+
+def counting_lemmas_reference(
+    trace: GrowthTrace, sol: Solution
+) -> tuple[bool, list[IterationDelta], Fraction | None]:
+    """`audit.verify_counting_lemmas` as a per-iteration record: each
+    iteration's per-moat counts and fronts, whether every iteration keeps
+    all four bounds, and the largest delta-to-moat ratio."""
+    assert trace.mode == MODE_BUCKETED
+    final_labels = sol.arc_labels
+    deltas: list[IterationDelta] = []
+    alpha_max: Fraction | None = None
+    for rec in trace.iterations:
+        per_moat = {vertices: [0, 0, 0] for vertices in rec.moats}
+        killer_front: set[int] = set()
+        expansion_front: set[int] = set()
+        for p in rec.payments:
+            if final_labels.get(p.arc) != p.kind:
+                continue
+            counts = per_moat.setdefault(p.moat, [0, 0, 0])
+            if p.kind == ANTENNA:
+                counts[0] += 1
+            elif p.kind == KILLER:
+                counts[1] += 1
+                killer_front.add(p.arc)
+            else:
+                counts[2] += 1
+                expansion_front.add(p.arc)
+        delta = IterationDelta(
+            index=rec.index,
+            moat_count=len(rec.moats),
+            per_moat={k: tuple(v) for k, v in per_moat.items()},
+            killer_front=frozenset(killer_front),
+            expansion_front=frozenset(expansion_front),
+        )
+        deltas.append(delta)
+        if delta.moat_count:
+            alpha = Fraction(delta.delta_total, delta.moat_count)
+            if alpha_max is None or alpha > alpha_max:
+                alpha_max = alpha
+    ok = not any(delta.broken_bounds() for delta in deltas)
+    return ok, deltas, alpha_max
 
 
 def random_qb_instance(

@@ -16,18 +16,24 @@ from qbdst.audit import (
 )
 from qbdst.engine import (
     MODE_BUCKETED,
-    GrowthTrace,
-    IterationRecord,
+    Payment,
+    grow,
     reverse_delete,
     solve,
     solve_standard_baseline,
 )
 from qbdst.gen import gen_bad_example, gen_grid
-from qbdst.instance import Instance, instance_hash, parse_instance
-from qbdst.moats import KILLER, is_antenna_arc
+from qbdst.instance import Instance, parse_instance
+from qbdst.moats import ANTENNA, EXPANSION, KILLER, is_antenna_arc
 from qbdst.oracle import exact_opt_dp
 
-from conftest import FOUR_NODE, SINGLE_ARC, acceptance_corpus, random_valid_instance
+from conftest import (
+    FOUR_NODE,
+    SINGLE_ARC,
+    acceptance_corpus,
+    counting_lemmas_reference,
+    random_valid_instance,
+)
 
 EPS = Fraction(1, 100)
 
@@ -35,7 +41,7 @@ EPS = Fraction(1, 100)
 def test_dual_feasibility_single_arc():
     inst = parse_instance(SINGLE_ARC)
     _, trace = solve(inst)
-    loads, ok = verify_dual_feasibility(inst, trace)
+    loads, ok = verify_dual_feasibility(inst, trace.duals)
     assert ok
     assert loads[0] == 5  # <= 2 * 5
 
@@ -43,7 +49,7 @@ def test_dual_feasibility_single_arc():
 def test_dual_feasibility_four_node_loads():
     inst = parse_instance(FOUR_NODE)
     _, trace = solve(inst)
-    loads, ok = verify_dual_feasibility(inst, trace)
+    loads, ok = verify_dual_feasibility(inst, trace.duals)
     assert ok
     # a4 = t1->t2 is loaded to exactly twice its cost.
     assert loads[3] == 2 == 2 * inst.arcs[3].cost
@@ -56,18 +62,16 @@ def test_antenna_arcs_load_at_most_cost():
     for _ in range(20):
         inst = random_valid_instance(rng, max_nodes=6, max_arcs=16)
         _, trace = solve(inst)
-        loads, ok = verify_dual_feasibility(inst, trace)
+        loads, ok = verify_dual_feasibility(inst, trace.duals)
         assert ok
         for arc_id, arc in enumerate(inst.arcs):
             if inst.is_steiner(arc.tail) and arc.head in inst.terminals:
                 assert loads[arc_id] <= arc.cost
 
 
-
-def _dual_loads_reference(inst, trace):
+def _dual_loads_reference(inst, duals):
     """verify_dual_feasibility as an all-arcs loop: every dual set is
     tested against every arc of the instance."""
-    duals = trace.duals
     nodes = range(1, inst.node_count + 1)
     ok = all(
         members.issubset(nodes)
@@ -89,7 +93,7 @@ def _dual_loads_reference(inst, trace):
 
 def test_dual_loads_by_head_match_all_arcs_loop():
     # Both modes on the acceptance corpus and 100 seeded random instances,
-    # each also with every epsilon tripled, so that loads exceed their caps
+    # each also with every dual tripled, so that loads exceed their caps
     # and the verdict is false on some runs.
     rng = random.Random(44)
     instances = [inst for _, inst in acceptance_corpus()]
@@ -97,15 +101,14 @@ def test_dual_loads_by_head_match_all_arcs_loop():
     verdicts = set()
     for inst in instances:
         for run in (solve, solve_standard_baseline):
-            _, trace = run(inst)
-            tripled = replace(
-                trace, iterations=[replace(r, epsilon=3 * r.epsilon) for r in trace.iterations]
-            )
-            for checked in (trace, tripled):
+            duals = run(inst)[1].duals
+            tripled = {members: 3 * y for members, y in duals.items()}
+            for checked in (duals, tripled):
                 got = verify_dual_feasibility(inst, checked)
                 assert got == _dual_loads_reference(inst, checked)
                 verdicts.add(got[1])
     assert verdicts == {True, False}
+
 
 @pytest.mark.parametrize(
     "moat, flaw",
@@ -118,76 +121,159 @@ def test_dual_feasibility_rejects_a_dual_set_that_is_no_cut(moat, flaw):
     inst = parse_instance(
         "NODES 4\nROOT 1\nTERMINALS 2 3\nARC 1 2 9\nARC 1 3 9\nARC 4 2 9\nEND\n"
     )
-    trace = GrowthTrace(
-        mode=MODE_BUCKETED,
-        instance_hash=instance_hash(inst),
-        node_count=inst.node_count,
-        root=inst.root,
-        terminals=inst.terminals,
-    )
-    singletons = (frozenset({2}), frozenset({3}))
-    trace.iterations.append(IterationRecord(0, Fraction(1, 9), singletons, (), (0, KILLER), ()))
-    assert verify_dual_feasibility(inst, trace)[1]
+    duals = {frozenset({2}): Fraction(1, 9), frozenset({3}): Fraction(1, 9)}
+    assert verify_dual_feasibility(inst, duals)[1]
     flawed = frozenset(map(int, moat.split(",")))
-    trace.iterations.append(IterationRecord(1, Fraction(1, 9), (flawed,), (), (1, KILLER), ()))
-    assert not verify_dual_feasibility(inst, trace)[1], flaw
+    assert not verify_dual_feasibility(inst, {**duals, flawed: Fraction(1, 9)})[1], flaw
+
+
+def _final_counts(trace, sol):
+    """Per iteration, (index, epsilon, number of payments to final arcs
+    under their eventual purchase label)."""
+    labels = sol.arc_labels
+    return [
+        (rec.index, rec.epsilon, sum(1 for p in rec.payments if labels.get(p.arc) == p.kind))
+        for rec in trace.iterations
+    ]
 
 
 def test_cost_identity_four_node():
     inst = parse_instance(FOUR_NODE)
     sol, trace = solve(inst)
-    ok, table = verify_cost_identity(inst, trace, sol)
-    assert ok
+    assert verify_cost_identity(inst, trace, sol)
+    counts = _final_counts(trace, sol)
     # iteration 0 pays both final killer arcs; later iterations one each
-    assert [(l, count) for l, _, count in table] == [(0, 2), (1, 1), (2, 1)]
-    assert sum(eps * count for _, eps, count in table) == 4
+    assert [(l, count) for l, _, count in counts] == [(0, 2), (1, 1), (2, 1)]
+    assert sum(eps * count for _, eps, count in counts) == 4 == sol.total_cost
 
 
 def test_cost_identity_single_arc():
     inst = parse_instance(SINGLE_ARC)
     sol, trace = solve(inst)
-    ok, table = verify_cost_identity(inst, trace, sol)
-    assert ok
-    assert table == [(0, Fraction(5), 1)]
+    assert verify_cost_identity(inst, trace, sol)
+    assert _final_counts(trace, sol) == [(0, Fraction(5), 1)]
 
 
 def test_cost_identity_bad_example():
     inst = gen_bad_example(5, EPS)
     sol, trace = solve(inst)
-    ok, _ = verify_cost_identity(inst, trace, sol)
-    assert ok
+    assert verify_cost_identity(inst, trace, sol)
 
 
 def test_cost_identity_baseline_mode():
     inst = gen_bad_example(4, EPS)
     sol, trace = solve_standard_baseline(inst)
-    ok, _ = verify_cost_identity(inst, trace, sol)
-    assert ok
+    assert verify_cost_identity(inst, trace, sol)
+
+
+def test_cost_identity_fails_without_one_final_payment():
+    # Dropping one counted payment from an epsilon > 0 iteration takes
+    # epsilon off the left-hand side of the identity.
+    inst = gen_bad_example(10, Fraction(1, 7))
+    trace = grow(inst, MODE_BUCKETED)
+    sol = reverse_delete(inst, trace)
+    assert verify_cost_identity(inst, trace, sol)
+    labels = sol.arc_labels
+    index, pos = next(
+        (rec.index, pos)
+        for rec in trace.iterations
+        if rec.epsilon
+        for pos, p in enumerate(rec.payments)
+        if labels.get(p.arc) == p.kind
+    )
+    rec = trace.iterations[index]
+    payments = rec.payments[:pos] + rec.payments[pos + 1 :]
+    trace.iterations[index] = replace(rec, payments=payments)
+    assert not verify_cost_identity(inst, trace, sol)
 
 
 def test_counting_lemmas_four_node():
     inst = parse_instance(FOUR_NODE)
     sol, trace = solve(inst)
-    ok, deltas, alpha_max = verify_counting_lemmas(inst, trace, sol)
-    assert ok
+    assert verify_counting_lemmas(inst, trace, sol) == (True, 1)
+    _, deltas, _ = counting_lemmas_reference(trace, sol)
     first = deltas[0]
     assert first.moat_count == 2
     assert len(first.killer_front) <= 2
     assert len(first.expansion_front) == 0
-    assert alpha_max == 1
 
 
 def test_counting_lemmas_bad_example():
     inst = gen_bad_example(10, EPS)
     sol, trace = solve(inst)
-    ok, deltas, alpha_max = verify_counting_lemmas(inst, trace, sol)
+    ok, alpha_max = verify_counting_lemmas(inst, trace, sol)
     assert ok
-    for delta in deltas:
-        ants = [c[0] for c in delta.per_moat.values()]
-        assert all(a <= 1 for a in ants)
-        assert sum(ants) <= delta.moat_count
-        assert len(delta.killer_front) <= delta.moat_count
-        assert len(delta.expansion_front) <= 2 * delta.moat_count
+    _, deltas, reference_alpha = counting_lemmas_reference(trace, sol)
+    assert alpha_max == reference_alpha
+    assert not any(delta.broken_bounds() for delta in deltas)
+
+
+def _tampered(trace, sol, bound):
+    """`trace` with one iteration's moats and payments replaced so that
+    exactly `bound` breaks there: (iteration index, tampered trace)."""
+    labels = sol.arc_labels
+    antenna = next(a for a in sol.final_arcs if labels[a] == ANTENNA)
+    killers = [a for a in sol.final_arcs if labels[a] == KILLER]
+    expansions = [a for a in sol.final_arcs if labels[a] == EXPANSION]
+    rec = next(r for r in trace.iterations if len(r.moats) >= 2)
+    m0, m1 = rec.moats[:2]
+    zero = Fraction(0)
+    if bound == "antenna_per_moat":
+        moats = (m0, m1)
+        payments = [Payment(antenna, ANTENNA, m0, zero)] * 2
+    elif bound == "antennas":
+        moats = (m0,)
+        payments = [Payment(antenna, ANTENNA, m, zero) for m in (m0, m1)]
+    elif bound == "killers":
+        moats = (m0,)
+        payments = [Payment(a, KILLER, m0, zero) for a in killers[:2]]
+    else:
+        moats = (m0,)
+        payments = [Payment(a, EXPANSION, m0, zero) for a in expansions[:3]]
+    iterations = list(trace.iterations)
+    iterations[rec.index] = replace(rec, moats=moats, payments=tuple(payments))
+    return rec.index, replace(trace, iterations=iterations)
+
+
+COUNTING_BOUNDS = ["antenna_per_moat", "antennas", "killers", "expansions"]
+
+
+@pytest.mark.parametrize("bound", COUNTING_BOUNDS)
+def test_counting_lemmas_fail_on_each_broken_bound(bound):
+    # gen_bad_example(10, 1/7) buys 12 antenna, 2 killer and 9 expansion
+    # arcs that survive reverse delete.
+    inst = gen_bad_example(10, Fraction(1, 7))
+    trace = grow(inst, MODE_BUCKETED)
+    sol = reverse_delete(inst, trace)
+    assert verify_counting_lemmas(inst, trace, sol)[0]
+    index, tampered = _tampered(trace, sol, bound)
+    ok, deltas, alpha_max = counting_lemmas_reference(tampered, sol)
+    assert [(d.index, d.broken_bounds()) for d in deltas if d.broken_bounds()] == [
+        (index, [bound])
+    ]
+    assert verify_counting_lemmas(inst, tampered, sol) == (False, alpha_max)
+
+
+def test_counting_lemmas_match_reference():
+    # (ok, alpha_max) against the per-iteration reference on the
+    # acceptance corpus, three bad examples, 100 seeded random instances
+    # and the tampered traces.
+    rng = random.Random(45)
+    instances = [inst for _, inst in acceptance_corpus()]
+    instances += [gen_bad_example(k, Fraction(1, 7)) for k in (3, 10, 20)]
+    instances += [random_valid_instance(rng, max_nodes=7, max_arcs=24) for _ in range(100)]
+    runs = []
+    for inst in instances:
+        trace = grow(inst, MODE_BUCKETED)
+        runs.append((inst, trace, reverse_delete(inst, trace)))
+    inst, trace, sol = runs[-102]  # gen_bad_example(10, 1/7)
+    runs += [(inst, _tampered(trace, sol, bound)[1], sol) for bound in COUNTING_BOUNDS]
+    verdicts = set()
+    for inst, trace, sol in runs:
+        ok, _, alpha_max = counting_lemmas_reference(trace, sol)
+        assert verify_counting_lemmas(inst, trace, sol) == (ok, alpha_max)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_counting_lemmas_reject_standard_mode():

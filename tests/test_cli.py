@@ -107,16 +107,31 @@ def test_solve_deterministic_output(four_node_file):
 
 
 @pytest.mark.parametrize(
-    "flags", [[], ["--audit"], ["--oracle"], ["--audit", "--oracle"]], ids=str
+    "flags",
+    [
+        [],
+        ["--audit"],
+        ["--oracle"],
+        ["--audit", "--oracle"],
+        ["--decimal"],
+        ["--audit", "--decimal"],
+        ["--audit", "--oracle", "--decimal"],
+    ],
+    ids=str,
 )
 def test_solve_prints_each_ratio_once(tmp_path, capsys, flags):
     # Without --audit, solve prints its ratios; with it, only the audit
     # report's certified ones appear, ratio_vs_opt as n/a without --oracle.
+    # Either way --decimal marks every non-integer ratio with its '~' value.
     path = tmp_path / "bad4.txt"
     path.write_text(serialize_instance(gen_bad_example(4, Fraction(1, 100))), encoding="utf-8")
     assert cli.main(["solve", str(path), *flags]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("ratio_vs_lb ")] == ["ratio_vs_lb 506/203"]
+    ratio = "ratio_vs_lb 506/203" + (" (~2.49261)" if "--decimal" in flags else "")
+    assert [line for line in lines if line.startswith("ratio_vs_lb ")] == [ratio]
+    if "--audit" in flags:
+        alpha = "alpha_max 3/2" + (" (~1.5)" if "--decimal" in flags else "")
+        assert [line for line in lines if line.startswith("alpha_max ")] == [alpha]
     opt_lines = [line for line in lines if line.startswith("ratio_vs_opt ")]
     if "--oracle" in flags:
         assert opt_lines == ["ratio_vs_opt 1"]

@@ -537,7 +537,7 @@ def test_bucket_caps_and_purchase_tightness():
         # total fills equal the dual load of each arc, hence <= 2c
         from qbdst.audit import verify_dual_feasibility
 
-        loads, ok = verify_dual_feasibility(inst, trace)
+        loads, ok = verify_dual_feasibility(inst, trace.duals)
         assert ok
         for arc_id in range(len(inst.arcs)):
             total = sum(

@@ -171,6 +171,26 @@ def test_minor_free_rejects_r_below_two(r):
     assert parse_instance(text.replace(f"minor_free {r}", "minor_free 2")).minor_r == 2
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("planar_bipartite 5", "FAMILY planar_bipartite takes no parameter"),
+        ("planar 3", "unknown family tag 'planar'"),
+        ("minor_free", "FAMILY minor_free expects an integer r"),
+        ("planar_bipartite x", "FAMILY planar_bipartite: stray parameter 'x'"),
+        ("unknown 5 6", "FAMILY unknown: stray parameter '6'"),
+        ("planar_bipartite ³", "FAMILY planar_bipartite: stray parameter '³'"),
+    ],
+)
+def test_parse_family_errors(family, message):
+    # A declaration the family rule rejects gets that rule's message, the
+    # one validate gives; a non-integer or extra parameter shows only in
+    # the text, so the parser alone names it.
+    text = f"NODES 2\nROOT 1\nTERMINALS 2\nFAMILY {family}\nARC 1 2 1\nEND\n"
+    with pytest.raises(ParseError, match=f"^line 4: {re.escape(message)}$"):
+        parse_instance(text)
+
+
 def _declared(family, minor_r):
     return replace(parse_instance(SINGLE_ARC), family=family, minor_r=minor_r)
 
