@@ -11,14 +11,21 @@ moats locally: only the moats holding the bought arc's head can change
 scratch).  The purchased arcs F only grow, so one `instance.ArcGraph`
 keeps their adjacency for the whole run: each purchase is added to it
 once, and every F search (the reachability screen of `classify_arc`, the
-SCC of `moats_after`) walks only what it visits.  Because only arcs
-entering a moat are paid, the bucket fills of an arc always equal its
-dual load sum over entered sets, so the accumulated duals y satisfy
-load <= 2c per arc and y/2 certifies the lower bound.
+SCC of `moats_after`, the payer map's forward search) walks only what it
+visits.  Because only arcs entering a moat are paid, the bucket fills of
+an arc always equal its dual load sum over entered sets, so the
+accumulated duals y satisfy load <= 2c per arc and y/2 certifies the
+lower bound.
 
 Each step's bookkeeping costs only what changed.  `grow` keeps the set of
 full buckets as they fill, so the epsilon-0 shortcut is a set lookup, and
-tests only the moats that hold the bought arc's head for kills.  Reverse
+tests only the moats that hold the bought arc's head for kills.  It keeps
+the payer map, which moats pay which bucket, for the whole run too, with
+the instance's arcs indexed by head and by tail.  After a purchase x->y
+it re-derives only the arcs into the moats that held or now hold y and,
+when bucketed, the non-antenna arcs out of the vertices y reaches (the
+`moats` module docstring gives the rule and its proof); every other arc
+keeps its buckets, and the payments still name every paid bucket.  Reverse
 delete tests the whole purchase list once with `is_feasible`: an
 infeasible list keeps every purchase, since removing arcs never restores
 reachability.  Otherwise each purchase u->v costs one search from the
@@ -33,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
-from typing import IO, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 from .instance import (
     ArcGraph,
@@ -141,39 +148,99 @@ class Solution:
     lower_bound: Fraction
 
 
-def _payer_map(
-    inst: Instance,
-    purchased: ArcGraph,
-    moats: list[Moat],
-    bucketed: bool,
-) -> dict[tuple[int, str], list[Moat]]:
-    """Which moats pay which bucket this iteration; `purchased` is the
-    graph of F.
+class _Payers:
+    """Which moats pay which bucket, kept for the whole run: `paying` maps
+    each paid (arc, kind) bucket to its paying moats.
 
     Only arcs outside F whose head is in a moat and whose tail is not get
     paid; everything else (arcs into no moat, arcs internal to a moat,
-    bought arcs) receives nothing.
+    bought arcs) receives nothing.  After a purchase, `bought` re-derives
+    only the arcs whose entries it can change; every other arc keeps its
+    buckets.
     """
-    head_moats: dict[int, list[Moat]] = {}
-    for moat in moats:
-        for v in moat.vertices:
-            head_moats.setdefault(v, []).append(moat)
 
-    payers: dict[tuple[int, str], list[Moat]] = {}
-    for arc_id in range(len(inst.arcs)):
-        if arc_id in purchased.ids:
-            continue
-        arc = inst.arcs[arc_id]
-        if arc.head not in head_moats:
-            continue
-        if not bucketed:
-            entered = [m for m in head_moats[arc.head] if arc.tail not in m.vertices]
-            if entered:
-                payers[(arc_id, MODE_STANDARD)] = entered
-            continue
-        for moat, role in classify_arc(inst, purchased, head_moats[arc.head], arc_id):
-            payers.setdefault((arc_id, role), []).append(moat)
-    return payers
+    def __init__(
+        self, inst: Instance, purchased: ArcGraph, moats: list[Moat], bucketed: bool
+    ) -> None:
+        self.inst = inst
+        self.purchased = purchased  # the graph of F, which the run grows
+        self.bucketed = bucketed
+        self.paying: dict[tuple[int, str], list[Moat]] = {}
+        self.keys: dict[int, list[tuple[int, str]]] = {}  # bucketed: arc -> its buckets
+        self.at: dict[int, list[Moat]] = {}  # vertex -> the moats holding it
+        # The instance's arcs by head and, when bucketed, its non-antenna
+        # arcs by tail as (arc, head) pairs.
+        self.into: dict[int, list[int]] = {}
+        self.out: dict[int, list[tuple[int, int]]] = {}
+        for arc_id, (tail, head, _) in enumerate(inst.arcs):
+            self.into.setdefault(head, []).append(arc_id)
+            if bucketed and not is_antenna_arc(inst, arc_id):
+                self.out.setdefault(tail, []).append((arc_id, head))
+        for moat in moats:
+            self._hold(moat)
+        self._rederive(range(len(inst.arcs)))
+
+    def _hold(self, moat: Moat) -> None:
+        for w in moat.vertices:
+            self.at.setdefault(w, []).append(moat)
+
+    def _rederive(self, arc_ids: Iterable[int]) -> None:
+        """Drop the buckets of each arc in `arc_ids` and pay it anew."""
+        inst, bought, at, paying = self.inst, self.purchased.ids, self.at, self.paying
+        if not self.bucketed:  # one bucket per arc, so no key lists
+            for arc_id in arc_ids:
+                key = (arc_id, MODE_STANDARD)
+                paying.pop(key, None)
+                tail, head, _ = inst.arcs[arc_id]
+                if head in at and arc_id not in bought:
+                    entered = [m for m in at[head] if tail not in m.vertices]
+                    if entered:
+                        paying[key] = entered
+            return
+        keys = self.keys
+        for arc_id in arc_ids:
+            for key in keys.pop(arc_id, ()):
+                del paying[key]
+            head = inst.arcs[arc_id].head
+            if head not in at or arc_id in bought:
+                continue
+            for moat, role in classify_arc(inst, self.purchased, at[head], arc_id):
+                key = (arc_id, role)
+                if key in paying:
+                    paying[key].append(moat)
+                else:
+                    paying[key] = [moat]
+                    keys.setdefault(arc_id, []).append(key)
+
+    def bought(self, arc_id: int, holders: list[Moat], after: list[Moat]) -> None:
+        """Patch the map once arc x->y is in F: `holders` are the moats of F
+        that hold y, and `after` those of F + {x->y}, at most one.
+
+        Re-derives every arc into a vertex of those moats, the bought arc
+        among them, and when bucketed every non-antenna arc into another
+        moat whose tail y reaches (the `moats` module docstring gives the
+        rule and its proof)."""
+        at = self.at
+        changed: set[int] = set()
+        for old in holders:
+            changed.update(old.vertices)
+            for w in old.vertices:
+                at[w].remove(old)
+                if not at[w]:
+                    del at[w]
+        for new in after:
+            changed.update(new.vertices)
+            self._hold(new)
+        stale = [a for w in changed for a in self.into.get(w, ())]
+        if self.bucketed:
+            reach = self.purchased.reach([self.inst.arcs[arc_id].head])
+            stale.extend(
+                a
+                for u in reach
+                for a, head in self.out.get(u, ())
+                if head in at and head not in changed
+            )
+        self._rederive(stale)
 
 
 def _epsilon_from_payers(
@@ -235,11 +302,12 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
     alive = set(inst.terminals)
     name = cache(_moat_name)  # payer order only; each name made once per run
     moats = active_moats(inst, frozenset())
+    payer_map = _Payers(inst, purchased, moats, bucketed)
+    payers = payer_map.paying  # patched in place after each purchase
     index = 0
     while moats:
         if index > len(inst.arcs):
             raise EngineError("growth did not terminate within |E| iterations")
-        payers = _payer_map(inst, purchased, moats, bucketed)
         if not payers:
             raise EngineError(
                 "stalled growth: no payable arc enters any active moat "
@@ -271,7 +339,8 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         # a holder survives exactly when its core lies in the one new moat.
         v = inst.arcs[buy].head
         holders = [m for m in moats if v in m.vertices]
-        kept = survivors(holders, [m for m in new_moats if v in m.vertices])
+        after = [m for m in new_moats if v in m.vertices]
+        kept = survivors(holders, after)
         kills = [t for m in holders if m not in kept for t in sorted(m.core & alive)]
         alive.difference_update(kills)
 
@@ -301,6 +370,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 kills=tuple(kills),
             )
         )
+        payer_map.bought(buy, holders, after)
         moats = new_moats
         index += 1
     return trace

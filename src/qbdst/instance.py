@@ -85,7 +85,7 @@ def parse_instance(text: str) -> Instance:
         NODES <n>                      nodes are 1..n
         ROOT <id>
         TERMINALS <id> [<id> ...]      may repeat across multiple lines
-        FAMILY planar_bipartite | minor_free <r> | unknown
+        FAMILY planar_bipartite | minor_free <r> | unknown      at most once
         ARC <tail> <head> <cost>       cost: decimal (0.01) or rational (1/100)
         END
 
@@ -96,7 +96,7 @@ def parse_instance(text: str) -> Instance:
     root: int | None = None
     terminals: set[int] = set()
     saw_terminals = False
-    family = FAMILY_UNKNOWN
+    family: str | None = None
     minor_r: int | None = None
     arcs: list[Arc] = []
     ended = False
@@ -138,10 +138,11 @@ def parse_instance(text: str) -> Instance:
                 except ValueError:
                     raise err(lineno, f"bad node id {tok!r}") from None
         elif keyword == "FAMILY":
+            if family is not None:
+                raise err(lineno, "duplicate FAMILY section")
             if not args:
                 raise err(lineno, "FAMILY expects a tag")
             family, params = args[0], args[1:]
-            minor_r = None
             if len(params) == 1:
                 try:
                     minor_r = int(params[0])
@@ -196,7 +197,7 @@ def parse_instance(text: str) -> Instance:
         root=root,
         terminals=frozenset(terminals),
         arcs=tuple(arcs),
-        family=family,
+        family=family or FAMILY_UNKNOWN,
         minor_r=minor_r,
     )
 

@@ -63,6 +63,43 @@ the in-arcs of those vertices, never all of F'.
 The growth loop takes its kills from the same locality: the moats
 without v survive unchanged, so only the moats holding v need
 `survivors`, against the one new moat.
+
+The growth loop also keeps its payer map, each unbought arc's list of
+(entered moat, role), across iterations.  After a purchase x->y, with
+F' = F + {x->y}, it re-derives an unbought arc u->v only when v lies in a
+moat of F or of F' that holds y, or, in bucketed mode, when u->v is not an
+antenna arc and y reaches u in F'.  Every other arc keeps its list.  Say
+v lies in no moat holding y.  The moats of F' without y are the moats of
+F without y (above), so u->v enters the same moats before and after.  A
+standard-mode list names only those moats, and an antenna role reads
+only the instance.  Take a non-antenna u->v entering moat M, with core C
+and y not in M.  Write fwd and back for reach in F, fwd' and back' in F'.
+
+1. The role reads only reach sets.  A terminal of C lies in no moat of F
+   but M, and M holds v, so by the rule above M survives the purchase of
+   u->v exactly when the SCC of C in F + {u->v} holds v and `_moat` of
+   it, with u->v among the in-arcs, is not None.  The head v reaches C
+   (v is in C, or a Steiner tail with an F-arc into C), so that SCC is C
+   when u is not in fwd(C), the screen's killer case, and otherwise
+   S = fwd(v) & (back(C) | back(u)), since fwd(C) lies inside fwd(v).
+   The role therefore reads whether u is in fwd(C), the set S, and the
+   in-arcs of S and of its Steiner tails.
+2. No F'-arc enters M: no F-arc does, M being active, and x->y does not,
+   since y is not in M.  So back'(C) = back(C) lies inside M, and y
+   reaches no vertex of M.
+3. Now let y not reach u in F'.  A path of F' that F lacks runs through
+   x->y, so back'(u) = back(u), and the vertices that fwd'(C) and fwd'(v)
+   gain lie in fwd'(y).  Then u is in fwd'(C) exactly when it is in
+   fwd(C).  A vertex that fwd'(v) gains is reached from y, so it lies
+   neither in M, which holds back(C), nor in back(u); S is the same in
+   F'.  The in-arcs differ only at y, which is not in S (S lies inside
+   back(C) | back(u)), and no Steiner tail of S either: its F-arc into S
+   would put y in back(C) or let it reach u.  So the role is the same.
+
+The bought arc needs no case of its own: its head y lies in the moat
+that paid it, and F' holds it, so it is re-derived to nothing.  Nor do the
+arcs whose head reaches x: fwd(v) grows only by vertices of fwd'(y), which
+touch the role only when they reach u.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable
 
-from qbdst.engine import MODE_BUCKETED, GrowthTrace, Solution
-from qbdst.instance import Arc, Instance, validate
-from qbdst.moats import ANTENNA, KILLER
+from qbdst.engine import MODE_BUCKETED, MODE_STANDARD, GrowthTrace, Solution
+from qbdst.instance import Arc, ArcGraph, Instance, validate
+from qbdst.moats import ANTENNA, KILLER, Moat, classify_arc
 from qbdst.gen import UndirectedGraph, gen_bad_example, gen_grid, reduce_cvc
 
 SINGLE_ARC = "NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 5\nEND\n"
@@ -189,6 +189,37 @@ def counting_lemmas_reference(
                 alpha_max = alpha
     ok = not any(delta.broken_bounds() for delta in deltas)
     return ok, deltas, alpha_max
+
+
+def payer_map_reference(
+    inst: Instance,
+    purchased: ArcGraph,
+    moats: list[Moat],
+    bucketed: bool,
+) -> dict[tuple[int, str], list[Moat]]:
+    """Which moats pay which bucket, derived from scratch over every arc;
+    `purchased` is the graph of F.  The engine keeps this map across
+    iterations and re-derives only the arcs a purchase can change."""
+    head_moats: dict[int, list[Moat]] = {}
+    for moat in moats:
+        for v in moat.vertices:
+            head_moats.setdefault(v, []).append(moat)
+
+    payers: dict[tuple[int, str], list[Moat]] = {}
+    for arc_id in range(len(inst.arcs)):
+        if arc_id in purchased.ids:
+            continue
+        arc = inst.arcs[arc_id]
+        if arc.head not in head_moats:
+            continue
+        if not bucketed:
+            entered = [m for m in head_moats[arc.head] if arc.tail not in m.vertices]
+            if entered:
+                payers[(arc_id, MODE_STANDARD)] = entered
+            continue
+        for moat, role in classify_arc(inst, purchased, head_moats[arc.head], arc_id):
+            payers.setdefault((arc_id, role), []).append(moat)
+    return payers
 
 
 def random_qb_instance(

@@ -585,6 +585,19 @@ def test_non_ascii_digit_counts_are_parse_errors(tmp_path, capsys, command, text
     assert captured.err == f"error: {path}: {message}\n"
 
 
+def test_second_family_line_is_one_error_line(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text(
+        "NODES 2\nROOT 1\nTERMINALS 2\nFAMILY minor_free 5\nFAMILY planar_bipartite\n"
+        "ARC 1 2 1\nEND\n",
+        encoding="utf-8",
+    )
+    result = run_cli("solve", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {path}: line 5: duplicate FAMILY section\n"
+
+
 def test_unwritable_trace_leaves_stdout_empty(tmp_path, capsys, four_node_file):
     out = tmp_path / "no_such_dir" / "t.jsonl"
     assert cli.main(["solve", str(four_node_file), "--audit", "--trace", str(out)]) == 1

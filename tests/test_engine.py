@@ -33,7 +33,7 @@ from qbdst.moats import (
     is_antenna_arc,
     survivors,
 )
-from qbdst.gen import gen_bad_example, gen_grid
+from qbdst.gen import gen_bad_example, gen_grid, reduce_cvc
 
 from conftest import (
     FOUR_NODE,
@@ -41,6 +41,8 @@ from conftest import (
     InvariantBreach,
     acceptance_corpus,
     alive_report,
+    payer_map_reference,
+    random_connected_graph,
     random_qb_instance,
     random_valid_instance,
 )
@@ -390,26 +392,84 @@ def test_trace_round_trip_and_determinism():
             assert _trace_text(loaded) == text
 
 
+def _payer_corpus():
+    # Seeded random instances, connected-vertex-cover reductions, chains and
+    # two grids of grid(W, keep, seed) = gen_grid(W, W, 1/2, keep, (1, 10),
+    # seed): grid(8, 1, 1), grid(12, 1, 2).  Only the reductions have arcs
+    # whose roles change because the bought arc's head reaches their tail:
+    # without that rule the rest of the corpus still passes.
+    rng = random.Random(20261021)
+    instances = [random_valid_instance(rng, max_nodes=12, max_arcs=40) for _ in range(300)]
+    for _ in range(40):
+        graph = random_connected_graph(rng, rng.randint(3, 7), max_edges=12)
+        if len(graph.edges) >= 2:
+            instances.append(reduce_cvc(graph, planar_promise=True))
+    instances += [gen_bad_example(k, Fraction(1, 7)) for k in (3, 8, 20)]
+    instances += [
+        gen_grid(w, w, Fraction(1, 2), Fraction(1), (1, 10), seed)
+        for w, seed in ((8, 1), (12, 2))
+    ]
+    return instances
+
+
+def test_kept_payer_map_matches_from_scratch_reference():
+    # grow keeps the payer map across iterations and re-derives only the
+    # arcs a purchase can change.  At every iteration of whole runs in both
+    # modes, the payments it emits must be exactly the buckets and payers of
+    # the from-scratch map over F, the purchases before that iteration.
+    checked = 0
+    for inst in _payer_corpus():
+        for mode in MODES:
+            trace = grow(inst, mode)
+            graph = ArcGraph(inst)
+            for rec in trace.iterations:
+                moats = active_moats(inst, graph.ids)
+                assert tuple(m.vertices for m in moats) == rec.moats
+                reference = payer_map_reference(inst, graph, moats, mode == MODE_BUCKETED)
+                expected = {
+                    (arc_id, kind, m.vertices)
+                    for (arc_id, kind), paying in reference.items()
+                    for m in paying
+                }
+                paid = {(p.arc, p.kind, p.moat) for p in rec.payments}
+                assert len(paid) == len(rec.payments)
+                assert paid == expected, (inst, mode, rec.index)
+                graph.add(rec.purchased[0])
+                checked += 1
+    assert checked > 4000
+
+
 @pytest.mark.parametrize("k", [4, 8, 16])
 def test_classify_recomputes_linear_on_bad_example(monkeypatch, k):
     # The engine binds active_moats at import, so a counter on the moats
-    # module sees only classify_arc's nested recomputes.  The reachability
-    # screen leaves 2k-1 of them on this family; without it there are k^2+4k.
-    calls = 0
+    # module sees only classify_arc's nested recomputes, and a counter on
+    # the engine's classify_arc sees every arc the kept payer map
+    # re-derives.  A purchase re-derives only the arcs into the moats that
+    # hold its head, before and after, and the non-antenna arcs into other
+    # moats whose tail that head reaches.  On this family the rebuilds are
+    # w_1->v, once v->a makes {a, v} a moat, and w_{i+1}->z_i for
+    # i = 2..k-1, once z_i->w_i brings z_i into the one growing moat: k-1 in
+    # all, one per arc.  Re-deriving every arc in every iteration made 2k-1
+    # rebuilds and 82, 258 and 898 classify_arc calls; without the
+    # reachability screen there were k^2+4k rebuilds.
+    calls = {"active_moats": 0, "classify_arc": 0}
 
-    def counted(inst, purchased):
-        nonlocal calls
-        calls += 1
-        return active_moats(inst, purchased)
+    def counted(module, name):
+        func = getattr(module, name)
 
-    monkeypatch.setattr(moats_module, "active_moats", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(moats_module, "active_moats")
+    counted(engine_module, "classify_arc")
     inst = gen_bad_example(k, EPS)
-    counts = []
     for _ in range(2):
-        calls = 0
+        calls.update(active_moats=0, classify_arc=0)
         solve(inst)
-        counts.append(calls)
-    assert counts[0] == counts[1] <= 2 * k
+        assert calls == {"active_moats": k - 1, "classify_arc": {4: 40, 8: 112, 16: 352}[k]}
 
 
 def test_standard_labels_match_strongest_classify_role():

@@ -191,6 +191,19 @@ def test_parse_family_errors(family, message):
         parse_instance(text)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [("minor_free 5", "planar_bipartite"), ("unknown", "unknown"), ("planar_bipartite", "x")],
+)
+def test_parse_rejects_a_second_family_line(first, second):
+    # Like NODES and ROOT, FAMILY appears at most once; the second line is
+    # the error even when the first would be replaced by a valid one.
+    text = f"NODES 2\nROOT 1\nFAMILY {first}\nTERMINALS 2\nFAMILY {second}\nARC 1 2 1\nEND\n"
+    with pytest.raises(ParseError, match="^line 5: duplicate FAMILY section$"):
+        parse_instance(text)
+    assert parse_instance(text.replace(f"FAMILY {second}\n", "")).family == first.split()[0]
+
+
 def _declared(family, minor_r):
     return replace(parse_instance(SINGLE_ARC), family=family, minor_r=minor_r)
 
