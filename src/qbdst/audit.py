@@ -96,11 +96,12 @@ def verify_dual_feasibility(
     -> y mapping, that the arc enters) and whether every load is at most
     2c, with antenna arcs at most c, and every set with a dual is a cut the
     LP bound counts: nodes in 1..n, no root, a terminal."""
-    nodes = range(1, inst.node_count + 1)
+    # A set holding a terminal has a min and a max to bound it in 1..n.
     ok = all(
-        members.issubset(nodes)
+        not members.isdisjoint(inst.terminals)
         and inst.root not in members
-        and not members.isdisjoint(inst.terminals)
+        and 1 <= min(members)
+        and max(members) <= inst.node_count
         for members in duals
     )
     # A set's load falls on the in-arcs of its members, so each set visits

@@ -11,8 +11,8 @@ moats locally: only the moats holding the bought arc's head can change
 scratch).  The purchased arcs F only grow, so one `instance.ArcGraph`
 keeps their adjacency for the whole run: each purchase is added to it
 once, and every F search (the reachability screen of `classify_arc`, the
-SCC of `moats_after`, the payer map's forward search) walks only what it
-visits.  Because only arcs entering a moat are paid, the bucket fills of
+SCC of `moats_after` and the forward reach it shares with the payer map)
+walks only what it visits.  Because only arcs entering a moat are paid, the bucket fills of
 an arc always equal its dual load sum over entered sets, so the
 accumulated duals y satisfy load <= 2c per arc and y/2 certifies the
 lower bound.
@@ -48,6 +48,7 @@ from .instance import (
     Instance,
     instance_hash,
     is_feasible,
+    parse_rational,
     require_valid,
 )
 from .moats import (
@@ -165,8 +166,8 @@ class _Payers:
         self.inst = inst
         self.purchased = purchased  # the graph of F, which the run grows
         self.bucketed = bucketed
+        self.kinds = (ANTENNA, EXPANSION, KILLER) if bucketed else (MODE_STANDARD,)
         self.paying: dict[tuple[int, str], list[Moat]] = {}
-        self.keys: dict[int, list[tuple[int, str]]] = {}  # bucketed: arc -> its buckets
         self.at: dict[int, list[Moat]] = {}  # vertex -> the moats holding it
         # The instance's arcs by head and, when bucketed, its non-antenna
         # arcs by tail as (arc, head) pairs.
@@ -185,36 +186,26 @@ class _Payers:
             self.at.setdefault(w, []).append(moat)
 
     def _rederive(self, arc_ids: Iterable[int]) -> None:
-        """Drop the buckets of each arc in `arc_ids` and pay it anew."""
+        """Drop the buckets of each arc in `arc_ids` and pay it anew: by its
+        `classify_arc` roles when bucketed, else by every entered moat."""
         inst, bought, at, paying = self.inst, self.purchased.ids, self.at, self.paying
-        if not self.bucketed:  # one bucket per arc, so no key lists
-            for arc_id in arc_ids:
-                key = (arc_id, MODE_STANDARD)
-                paying.pop(key, None)
-                tail, head, _ = inst.arcs[arc_id]
-                if head in at and arc_id not in bought:
-                    entered = [m for m in at[head] if tail not in m.vertices]
-                    if entered:
-                        paying[key] = entered
-            return
-        keys = self.keys
         for arc_id in arc_ids:
-            for key in keys.pop(arc_id, ()):
-                del paying[key]
-            head = inst.arcs[arc_id].head
+            for kind in self.kinds:
+                paying.pop((arc_id, kind), None)
+            tail, head, _ = inst.arcs[arc_id]
             if head not in at or arc_id in bought:
                 continue
-            for moat, role in classify_arc(inst, self.purchased, at[head], arc_id):
-                key = (arc_id, role)
-                if key in paying:
-                    paying[key].append(moat)
-                else:
-                    paying[key] = [moat]
-                    keys.setdefault(arc_id, []).append(key)
+            if self.bucketed:
+                roles = classify_arc(inst, self.purchased, at[head], arc_id)
+            else:
+                roles = [(m, MODE_STANDARD) for m in at[head] if tail not in m.vertices]
+            for moat, role in roles:
+                paying.setdefault((arc_id, role), []).append(moat)
 
-    def bought(self, arc_id: int, holders: list[Moat], after: list[Moat]) -> None:
-        """Patch the map once arc x->y is in F: `holders` are the moats of F
-        that hold y, and `after` those of F + {x->y}, at most one.
+    def bought(self, holders: list[Moat], new: Moat | None, reach: set[int]) -> None:
+        """Patch the map once arc x->y is in F, given what `moats_after`
+        returned: `holders`, the moats of F that hold y, `new`, the one new
+        moat of F + {x->y}, and `reach`, y's forward reach there.
 
         Re-derives every arc into a vertex of those moats, the bought arc
         among them, and when bucketed every non-antenna arc into another
@@ -228,12 +219,11 @@ class _Payers:
                 at[w].remove(old)
                 if not at[w]:
                     del at[w]
-        for new in after:
+        if new is not None:
             changed.update(new.vertices)
             self._hold(new)
         stale = [a for w in changed for a in self.into.get(w, ())]
         if self.bucketed:
-            reach = self.purchased.reach([self.inst.arcs[arc_id].head])
             stale.extend(
                 a
                 for u in reach
@@ -289,21 +279,20 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
     )
     purchased = ArcGraph(inst)  # F, kept for the whole run
     fills: dict[tuple[int, str], Fraction] = {}  # (arc, kind) -> paid so far
-    # The buckets whose fill equals their cost: the cost-0 ones from the
-    # start, and each bucket an epsilon > 0 iteration fills, which is
-    # exactly the tight ones.
-    kinds = (ANTENNA, EXPANSION, KILLER) if bucketed else (MODE_STANDARD,)
-    full = {
-        (arc_id, kind)
-        for arc_id, arc in enumerate(inst.arcs)
-        if not arc.cost
-        for kind in kinds
-    }
     alive = set(inst.terminals)
     name = cache(_moat_name)  # payer order only; each name made once per run
     moats = active_moats(inst, frozenset())
     payer_map = _Payers(inst, purchased, moats, bucketed)
     payers = payer_map.paying  # patched in place after each purchase
+    # The buckets whose fill equals their cost: the cost-0 ones from the
+    # start, and each bucket an epsilon > 0 iteration fills, which is
+    # exactly the tight ones.
+    full = {
+        (arc_id, kind)
+        for arc_id, arc in enumerate(inst.arcs)
+        if not arc.cost
+        for kind in payer_map.kinds
+    }
     index = 0
     while moats:
         if index > len(inst.arcs):
@@ -331,32 +320,25 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
         purchased.add(buy)
-        new_moats = moats_after(inst, purchased, moats, buy)
+        new_moats, holders, new, reach = moats_after(inst, purchased, moats, buy)
         # A moat that does not survive dies; its unique alive terminal dies
-        # with it.  Only the moats holding the bought arc's head v can die:
-        # the others are moats of F + {arc} unchanged (`moats_after`), and
-        # a core holding a terminal lies in no other moat than its own, so
-        # a holder survives exactly when its core lies in the one new moat.
-        v = inst.arcs[buy].head
-        holders = [m for m in moats if v in m.vertices]
-        after = [m for m in new_moats if v in m.vertices]
-        kept = survivors(holders, after)
+        # with it.  Only the holders of the bought arc's head can die: the
+        # others are moats of F + {arc} unchanged (`moats_after`), and a
+        # core holding a terminal lies in no other moat than its own, so a
+        # holder survives exactly when its core lies in the one new moat.
+        kept = survivors(holders, () if new is None else (new,))
         kills = [t for m in holders if m not in kept for t in sorted(m.core & alive)]
         alive.difference_update(kills)
 
         if bucketed:
-            # Def-4.2 labeling: the bucket that filled now; both full -> expansion.
-            if ANTENNA in tight_kinds:
-                label = ANTENNA
-            elif EXPANSION in tight_kinds:
-                label = EXPANSION
-            else:
-                label = KILLER
+            # Def-4.2 labeling: the bucket that filled now, the first in
+            # `kinds` order when several did (both full -> expansion).
+            label = next(kind for kind in payer_map.kinds if kind in tight_kinds)
         elif is_antenna_arc(inst, buy):
             label = ANTENNA
         else:
             # Expansion iff an entered moat survives, as in `classify_arc`;
-            # every entered moat holds v.
+            # every entered moat is a holder.
             grows = not kept.isdisjoint(payers[(buy, MODE_STANDARD)])
             label = EXPANSION if grows else KILLER
 
@@ -370,7 +352,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 kills=tuple(kills),
             )
         )
-        payer_map.bought(buy, holders, after)
+        payer_map.bought(holders, new, reach)
         moats = new_moats
         index += 1
     return trace
@@ -492,12 +474,6 @@ def _typed(kind: type):
 _int, _str, _list = _typed(int), _typed(str), _typed(list)
 
 
-def _arc(value) -> int:
-    if _int(value) < 0:
-        raise ValueError
-    return value
-
-
 def _memoized(parse):
     """`parse` for strings, run once per distinct string.  Make one per
     trace read, so the memo dies with the read."""
@@ -523,9 +499,9 @@ def _list_of(item):
 
 
 def _purchase(value) -> tuple[int, str]:
-    if len(_list(value)) != 2:
+    if len(_list(value)) != 2 or _int(value[0]) < 0:
         raise TypeError
-    return _arc(value[0]), _str(value[1])
+    return value[0], _str(value[1])
 
 
 class _Record:
@@ -571,7 +547,7 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         root=header.get("root", _int, "an integer"),
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
-    rational = _memoized(Fraction)
+    rational = _memoized(lambda text: parse_rational(text, "rational"))
     name = _memoized(_moat_vertices)
 
     def payments(value) -> tuple[Payment, ...]:

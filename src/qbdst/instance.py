@@ -11,6 +11,7 @@ purchase tie-breaking order, so arc order is preserved everywhere.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -68,13 +69,21 @@ class Instance:
         return sum((self.arcs[i].cost for i in arc_ids), Fraction(0))
 
 
+# An optional sign, digits, then an optional decimal part or /q.  `Fraction`
+# also takes exponents, and expanding 1e10000000 takes it seconds to minutes.
+_EXACT_LITERAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+
+
 def parse_rational(token: str, what: str) -> Fraction:
-    """`token` as an exact rational (decimal or p/q); otherwise a one-line
-    InputError naming `what`, also for a zero denominator."""
+    """`token` as an exact rational, a decimal (0.01) or p/q (1/100) with an
+    optional sign, for instance files, CLI arguments and trace files;
+    otherwise a one-line InputError naming `what`, also for 1/0."""
     try:
-        return Fraction(token)
+        if _EXACT_LITERAL.fullmatch(token):
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad {what} literal {token!r}") from None
+        pass
+    raise InputError(f"bad {what} literal {token!r}")
 
 
 def parse_instance(text: str) -> Instance:

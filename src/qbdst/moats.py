@@ -60,20 +60,23 @@ else.  Each search costs only the nodes and arcs it visits.  S's Steiner
 tails, and the test whether an F'-arc enters S with its tails, read only
 the in-arcs of those vertices, never all of F'.
 
-The growth loop takes its kills from the same locality: the moats
-without v survive unchanged, so only the moats holding v need
-`survivors`, against the one new moat.
+So `moats_after` returns what the purchase changed: the moats of F', the
+holders (the moats of F that hold v), the one new moat or None, and v's
+forward reach in F'.  The growth loop reads its kills from them (the
+moats without v survive, so only the holders need `survivors`, against
+the new moat), and the payer map's stale arcs.
 
-The growth loop also keeps its payer map, each unbought arc's list of
+The growth loop keeps the payer map, each unbought arc's list of
 (entered moat, role), across iterations.  After a purchase x->y, with
 F' = F + {x->y}, it re-derives an unbought arc u->v only when v lies in a
-moat of F or of F' that holds y, or, in bucketed mode, when u->v is not an
-antenna arc and y reaches u in F'.  Every other arc keeps its list.  Say
-v lies in no moat holding y.  The moats of F' without y are the moats of
-F without y (above), so u->v enters the same moats before and after.  A
-standard-mode list names only those moats, and an antenna role reads
-only the instance.  Take a non-antenna u->v entering moat M, with core C
-and y not in M.  Write fwd and back for reach in F, fwd' and back' in F'.
+holder of y or the new moat, or, in bucketed mode, when u->v is not an
+antenna arc and u is in y's forward reach in F'.  Every other arc keeps
+its list.  Say v lies in no moat holding y.  The moats of F' without y
+are the moats of F without y (above), so u->v enters the same moats
+before and after.  A standard-mode list names only those moats, and an
+antenna role reads only the instance.  Take a non-antenna u->v entering
+moat M, with core C and y not in M.  Write fwd and back for reach in F,
+fwd' and back' in F'.
 
 1. The role reads only reach sets.  A terminal of C lies in no moat of F
    but M, and M holds v, so by the rule above M survives the purchase of
@@ -125,46 +128,47 @@ class Moat:
     vertices: frozenset[int]
 
 
-def _components(node_count: int, into: dict[int, list[int]]) -> list[set[int]]:
-    """All strongly connected components (Kosaraju), including singletons,
-    of the arcs `into` lists: `into[w]` holds the tails of the arcs
-    entering w."""
-    adj: list[list[int]] = [[] for _ in range(node_count + 1)]
+def _components(into: dict[int, list[int]], also: Iterable[int]) -> list[set[int]]:
+    """The strongly connected components (Kosaraju), singletons included,
+    of the arcs `into` lists, over the nodes they touch and the nodes of
+    `also`: `into[w]` holds the tails of the arcs entering w."""
+    adj: dict[int, list[int]] = {v: [] for v in also}
     for head, tails in into.items():
+        adj.setdefault(head, [])
         for tail in tails:
-            adj[tail].append(head)
+            adj.setdefault(tail, []).append(head)
 
     order: list[int] = []
-    seen = [False] * (node_count + 1)
-    for start in range(1, node_count + 1):
-        if seen[start]:
+    seen: set[int] = set()
+    for start in adj:
+        if start in seen:
             continue
-        seen[start] = True
-        stack: list[tuple[int, int]] = [(start, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
+        seen.add(start)
+        path = [start]
+        heads = [iter(adj[start])]
+        while heads:
+            for w in heads[-1]:
+                if w not in seen:
+                    seen.add(w)
+                    path.append(w)
+                    heads.append(iter(adj[w]))
+                    break
             else:
-                order.append(v)
-                stack.pop()
+                order.append(path.pop())
+                heads.pop()
 
+    # Each component takes its nodes out of `seen`.
     comps: list[set[int]] = []
-    assigned = [False] * (node_count + 1)
     for start in reversed(order):
-        if assigned[start]:
+        if start not in seen:
             continue
-        assigned[start] = True
+        seen.discard(start)
         comp = {start}
         work = [start]
         while work:
             for u in into.get(work.pop(), ()):
-                if not assigned[u]:
-                    assigned[u] = True
+                if u in seen:
+                    seen.discard(u)
                     comp.add(u)
                     work.append(u)
         comps.append(comp)
@@ -190,12 +194,14 @@ def _moat(inst: Instance, core: set[int], into: dict[int, list[int]]) -> Moat | 
 
 def active_moats(inst: Instance, purchased: Iterable[int]) -> list[Moat]:
     """The minimal violated sets w.r.t. the purchased arc set F: `_moat` of
-    every SCC of F.  Ordered ascending by the sorted vertex list."""
+    every SCC of F over the ends of its arcs and the terminals, since a node
+    no F-arc touches is a core only when it is a terminal.  Ordered
+    ascending by the sorted vertex list."""
     into: dict[int, list[int]] = {}
     for arc_id in purchased:
         tail, head, _ = inst.arcs[arc_id]
         into.setdefault(head, []).append(tail)
-    found = (_moat(inst, core, into) for core in _components(inst.node_count, into))
+    found = (_moat(inst, core, into) for core in _components(into, inst.terminals))
     return sorted((m for m in found if m is not None), key=_order)
 
 
@@ -206,23 +212,27 @@ def _order(moat: Moat) -> list[int]:
 
 def moats_after(
     inst: Instance, bought: ArcGraph, moats: list[Moat], arc_id: int
-) -> list[Moat]:
-    """The active moats of F + {arc}, given `bought`, the graph of F with
-    the arc already added, and `moats`, the active moats of F; equal to
-    `active_moats(inst, bought.ids)`.
+) -> tuple[list[Moat], list[Moat], Moat | None, set[int]]:
+    """What buying the arc changes, given `bought`, the graph of F with the
+    arc already added, and `moats`, the active moats of F: the active moats
+    of F + {arc}, equal to and ordered as `active_moats(inst, bought.ids)`;
+    the holders, the moats of F that hold the arc's head v; the one new
+    moat or None; and v's forward reach in F + {arc}.
 
-    The moats that do not hold the arc's head v are kept, and `_moat` of
-    the SCC of v in F + {arc} is the one new candidate (the module
-    docstring gives the proof).  The SCC is a backward search from v that
-    stays inside v's forward reach.  Ordered as `active_moats`.
+    The moats without v are kept, and `_moat` of the SCC of v in F + {arc}
+    is the one new candidate (the module docstring gives the proof).  The
+    SCC is a backward search from v that stays inside v's forward reach.
     """
     v = inst.arcs[arc_id].head
-    kept = [m for m in moats if v not in m.vertices]
-    core = bought.reach([v], backward=True, within=bought.reach([v]))
-    moat = _moat(inst, core, bought.tails)
+    kept: list[Moat] = []
+    holders: list[Moat] = []
+    for m in moats:
+        (holders if v in m.vertices else kept).append(m)
+    reach = bought.reach([v])
+    moat = _moat(inst, bought.reach([v], backward=True, within=reach), bought.tails)
     if moat is not None:
         insort(kept, moat, key=_order)
-    return kept
+    return kept, holders, moat, reach
 
 
 def survivors(moats: Iterable[Moat], after: Iterable[Moat]) -> set[Moat]:

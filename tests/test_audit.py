@@ -112,7 +112,12 @@ def test_dual_loads_by_head_match_all_arcs_loop():
 
 @pytest.mark.parametrize(
     "moat, flaw",
-    [("1,2", "holds the root"), ("4", "holds no terminal"), ("2,5", "names node 5")],
+    [
+        ("1,2", "holds the root"),
+        ("4", "holds no terminal"),
+        ("2,5", "names node 5"),
+        ("0,2", "names node 0"),
+    ],
 )
 def test_dual_feasibility_rejects_a_dual_set_that_is_no_cut(moat, flaw):
     # The LP bound y/2 counts only sets that exclude the root and hold a

@@ -622,11 +622,20 @@ def test_trace_written_before_summary(tmp_path, capsys, four_node_file):
         ["gen", "badexample", "--k", "0", "--eps", "1/100"],
         ["gen", "badexample", "--k", "3", "--eps", "abc"],
         ["gen", "badexample", "--k", "3", "--eps", "1/0"],
+        ["gen", "badexample", "--k", "3", "--eps", "1e-2"],
         ["gen", "grid", "--width", "3", "--height", "3", "--seed", "1", "--cost-lo", "5", "--cost-hi", "1"],
         ["gen", "grid", "--width", "3", "--height", "3", "--seed", "1", "--keep-prob", "3/2"],
         ["gen", "grid", "--width", "0", "--height", "3", "--seed", "1"],
     ],
-    ids=["k_0", "eps_abc", "eps_zero_denominator", "empty_cost_range", "keep_prob", "width"],
+    ids=[
+        "k_0",
+        "eps_abc",
+        "eps_zero_denominator",
+        "eps_exponent",
+        "empty_cost_range",
+        "keep_prob",
+        "width",
+    ],
 )
 def test_gen_argument_errors_exit_one_with_one_line(capsys, argv):
     assert cli.main(argv) == 1
@@ -704,6 +713,23 @@ def test_load_errors_name_their_file(tmp_path, capsys, four_node_file):
     edges.write_text("NODES 2\nEDGE 1 5\nEND\n", encoding="utf-8")
     assert cli.main(["gen", "reduce", str(edges)]) == 1
     assert capsys.readouterr().err == f"error: {edges}: edge (1,5) out of range\n"
+
+
+def test_exponent_literals_are_one_error_line(tmp_path, capsys):
+    # Instance costs and trace rationals share one exact literal rule with
+    # the rational arguments (`eps_exponent` above): no exponent, which
+    # Fraction alone would expand (1e10000000 takes it seconds to minutes).
+    inst_path, rows = _write_run(tmp_path, FOUR_NODE)
+    exponent = tmp_path / "exponent.txt"
+    exponent.write_text("NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 1e3\nEND\n", encoding="utf-8")
+    assert cli.main(["solve", str(exponent)]) == 1
+    assert capsys.readouterr().err == f"error: {exponent}: line 4: bad cost literal '1e3'\n"
+    rows[1]["epsilon"] = "1e3"
+    trace_path = tmp_path / "t.jsonl"
+    assert _audit_in_process(inst_path, trace_path, [json.dumps(r) for r in rows]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {trace_path}: trace line 2: epsilon must be an exact rational string\n"
+    )
 
 
 def test_audit_prints_the_certified_solution(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -452,24 +453,37 @@ def test_classify_recomputes_linear_on_bad_example(monkeypatch, k):
     # all, one per arc.  Re-deriving every arc in every iteration made 2k-1
     # rebuilds and 82, 258 and 898 classify_arc calls; without the
     # reachability screen there were k^2+4k rebuilds.
-    calls = {"active_moats": 0, "classify_arc": 0}
+    #
+    # The ArcGraph searches of the whole solve: each purchase makes two in
+    # moats_after, v's forward reach and the backward search for v's SCC
+    # inside it, and the payer map reuses that forward reach; each
+    # classify_arc call of a non-antenna arc entering a moat makes one
+    # screen search; validation and reverse delete's is_feasible make one
+    # each.  A second forward search per purchase in the payer map made 77,
+    # 163 and 383, one more per purchase (18, 34 and 66).
+    calls = {"active_moats": 0, "classify_arc": 0, "reach": 0}
 
-    def counted(module, name):
-        func = getattr(module, name)
+    def counted(owner, name):
+        func = getattr(owner, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return func(*args)
+            return func(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counted(moats_module, "active_moats")
     counted(engine_module, "classify_arc")
+    counted(ArcGraph, "reach")
     inst = gen_bad_example(k, EPS)
     for _ in range(2):
-        calls.update(active_moats=0, classify_arc=0)
+        calls.update(active_moats=0, classify_arc=0, reach=0)
         solve(inst)
-        assert calls == {"active_moats": k - 1, "classify_arc": {4: 40, 8: 112, 16: 352}[k]}
+        assert calls == {
+            "active_moats": k - 1,
+            "classify_arc": {4: 40, 8: 112, 16: 352}[k],
+            "reach": {4: 59, 8: 129, 16: 317}[k],
+        }
 
 
 def test_standard_labels_match_strongest_classify_role():
@@ -515,6 +529,36 @@ def _count_graphs(monkeypatch):
 
 
 GRID_8X8 = gen_grid(8, 8, Fraction(1, 2), Fraction(9, 10), (1, 12), 0)
+
+
+def test_nodes_no_arc_touches_cost_nothing(monkeypatch):
+    # A node that no purchased arc touches is an SCC of its own and a core
+    # only when it is a terminal, so the moats are found over the ends of
+    # F's arcs and the terminals alone.  Padding an instance with 10^4
+    # nodes that no arc touches changes no result of solve and audit and
+    # no count of `_moat` calls.  Counting every node made each
+    # from-scratch build call `_moat` on all of them.
+    calls = 0
+    moat = moats_module._moat
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return moat(*args)
+
+    monkeypatch.setattr(moats_module, "_moat", counted)
+    for inst in (parse_instance(SINGLE_ARC), parse_instance(FOUR_NODE), gen_bad_example(4, EPS)):
+        padded = replace(inst, node_count=inst.node_count + 10_000)
+        runs = []
+        for case in (inst, padded):
+            calls = 0
+            for mode in MODES:
+                trace = grow(case, mode)
+                sol = reverse_delete(case, trace)
+                report = run_full(case, trace, sol)
+                assert report.all_ok
+                runs.append((sol.final_arcs, sol.total_cost, sol.lower_bound, calls))
+        assert runs[:2] == runs[2:], inst
 
 
 def test_standard_run_classifies_nothing(monkeypatch):
@@ -657,13 +701,13 @@ def test_local_kills_match_survivors_over_all_moats(monkeypatch):
     dead = []  # per purchase: the moats the full survival test kills
 
     def recorded(inst, graph, moats, arc_id):
-        after = moats_module.moats_after(inst, graph, moats, arc_id)
-        kept = survivors(moats, after)
+        result = moats_module.moats_after(inst, graph, moats, arc_id)
+        kept = survivors(moats, result[0])
         tail, head, _ = inst.arcs[arc_id]
         entered = [m for m in moats if head in m.vertices and tail not in m.vertices]
         grows = any(m in kept for m in entered)
         dead.append(([m for m in moats if m not in kept], grows))
-        return after
+        return result
 
     monkeypatch.setattr(engine_module, "moats_after", recorded)
     rng = random.Random(39)
@@ -787,6 +831,14 @@ def _bad_epsilon(rows):
     rows[1]["epsilon"] = "1/0"
 
 
+def _exponent_epsilon(rows):
+    rows[1]["epsilon"] = "1e3"
+
+
+def _exponent_payment_amount(rows):
+    rows[2]["payments"][0][3] = "1e3"
+
+
 def _word_moat(rows):
     rows[1]["moats"][0] = "x"
 
@@ -843,6 +895,8 @@ PAYMENTS_MUST_BE = "trace line 3: payments must be"
         (_unknown_mode, "trace line 1: mode must be bucketed or standard"),
         (_bool_index, "trace line 2: l must be an integer"),
         (_bad_epsilon, "trace line 2: epsilon must be"),
+        (_exponent_epsilon, "trace line 2: epsilon must be an exact rational string"),
+        (_exponent_payment_amount, PAYMENTS_MUST_BE),
         (_word_moat, "trace line 2: moats must be a list of moat names"),
         (_unsorted_moat, "trace line 4: moats must be a list of moat names"),
         (_empty_payment_moat, PAYMENTS_MUST_BE),

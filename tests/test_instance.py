@@ -9,12 +9,14 @@ from qbdst.engine import solve
 from qbdst.instance import (
     Arc,
     ArcGraph,
+    InputError,
     Instance,
     InvalidInstanceError,
     ParseError,
     is_feasible,
     normalize_parallel,
     parse_instance,
+    parse_rational,
     serialize_instance,
     validate,
 )
@@ -51,6 +53,33 @@ def test_parse_missing_terminals():
 def test_parse_negative_cost():
     with pytest.raises(ParseError, match="negative"):
         parse_instance("NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 -3\nEND\n")
+
+
+@pytest.mark.parametrize(
+    "cost", ["1e3", "1E-2", "inf", "nan", ".5", "5.", "1_000", "+-1", "1/2/3", "\u0661"]
+)
+def test_parse_rejects_inexact_cost_literals(cost):
+    # Costs are an optional sign, then digits with an optional decimal part
+    # or digits/digits.  Fraction alone also expands exponents, and
+    # Fraction("1e10000000") takes seconds to minutes.
+    with pytest.raises(ParseError) as info:
+        parse_instance(f"NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 {cost}\nEND\n")
+    assert str(info.value) == f"line 4: bad cost literal {cost!r}"
+
+
+def test_parse_rational_accepts_the_documented_forms():
+    for token, value in [
+        ("0.01", Fraction(1, 100)),
+        ("1/100", Fraction(1, 100)),
+        ("-3", Fraction(-3)),
+        ("+2.50", Fraction(5, 2)),
+        ("-7/21", Fraction(-1, 3)),
+        ("007", Fraction(7)),
+    ]:
+        assert parse_rational(token, "cost") == value
+    for token in ["1/0", "", "-", "1.", "1e3", " 1/2", "1/-2"]:
+        with pytest.raises(InputError, match="bad cost literal"):
+            parse_rational(token, "cost")
 
 
 def test_parse_node_out_of_range():

@@ -265,19 +265,25 @@ def _check_moats_after(inst, graph, moats, arc_id):
     # The local update against the from-scratch oracle, and on small
     # instances against the brute enumerator too.  `graph` already holds
     # the bought arc.  The SCC of its head v, a backward search kept inside
-    # v's forward reach, must equal both whole reaches intersected.
+    # v's forward reach, must equal both whole reaches intersected.  The
+    # holders, the new moat and the reach it returns must be what a rescan
+    # of the moats and a fresh search give.
     v = inst.arcs[arc_id].head
     forward = graph.reach([v])
     scc = forward & graph.reach([v], backward=True)
     assert graph.reach([v], backward=True, within=forward) == scc
-    after = moats_after(inst, graph, moats, arc_id)
+    result = moats_after(inst, graph, moats, arc_id)
+    after, holders, new, reach = result
     bought = frozenset(graph.ids)
     assert arc_id in bought
     assert after == active_moats(inst, bought), (sorted(bought), arc_id)
+    assert holders == [m for m in moats if v in m.vertices]
+    assert ([] if new is None else [new]) == [m for m in after if v in m.vertices]
+    assert reach == forward
     if inst.node_count <= 10:
         brute = enumerate_minimal_violated_brute(inst, bought)
         assert [m.vertices for m in after] == brute, (sorted(bought), arc_id)
-    return after
+    return result
 
 
 def test_moats_after_equals_active_moats_in_grow_runs(monkeypatch):
@@ -318,6 +324,6 @@ def test_moats_after_equals_active_moats_in_random_purchase_orders():
         moats = active_moats(inst, graph.ids)
         for arc_id in order:
             graph.add(arc_id)
-            moats = _check_moats_after(inst, graph, moats, arc_id)
+            moats = _check_moats_after(inst, graph, moats, arc_id)[0]
             purchases += 1
     assert purchases > 4000
