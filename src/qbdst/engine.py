@@ -25,12 +25,21 @@ the instance's arcs indexed by head and by tail.  After a purchase x->y
 it re-derives only the arcs into the moats that held or now hold y and,
 when bucketed, the non-antenna arcs out of the vertices y reaches (the
 `moats` module docstring gives the rule and its proof); every other arc
-keeps its buckets, and the payments still name every paid bucket.  Reverse
+keeps its buckets, and the payments still name every paid bucket.  Most
+iterations have epsilon 0, and their payments differ from the last
+epsilon-0 iteration's only in the re-derived buckets, so the map keeps
+each bucket's epsilon-0 payment row, built when first needed and dropped
+with the bucket's payers; such an iteration joins the kept rows.  Reverse
 delete tests the whole purchase list once with `is_feasible`: an
 infeasible list keeps every purchase, since removing arcs never restores
 reachability.  Otherwise each purchase u->v costs one search from the
 root over the kept arcs without it, which stops as soon as it reaches v:
 a root path through u->v can then take the other path to v instead.
+
+Trace files cost what they hold.  `write_trace` formats each iteration
+line itself, the record's epsilon once, and `read_trace` makes one
+`Payment` per distinct payment row, so an epsilon-0 run of kept rows is
+written and read back without a `json.dumps` or a `Fraction` per payment.
 """
 
 from __future__ import annotations
@@ -87,6 +96,11 @@ def _moat_vertices(name: str) -> frozenset[int]:
     if min(vertices) < 1 or _moat_name(vertices) != name:
         raise ValueError(f"malformed moat name {name!r}")
     return vertices
+
+
+# The epsilon of every epsilon-0 iteration and the amount of its payments,
+# one object, so `write_trace` formats it once per record.
+_ZERO = Fraction(0)
 
 
 class Payment(NamedTuple):
@@ -151,7 +165,8 @@ class Solution:
 
 class _Payers:
     """Which moats pay which bucket, kept for the whole run: `paying` maps
-    each paid (arc, kind) bucket to its paying moats.
+    each paid (arc, kind) bucket to its paying moats, and `rows` a paid
+    bucket to its epsilon-0 payments, built when first needed.
 
     Only arcs outside F whose head is in a moat and whose tail is not get
     paid; everything else (arcs into no moat, arcs internal to a moat,
@@ -168,6 +183,8 @@ class _Payers:
         self.bucketed = bucketed
         self.kinds = (ANTENNA, EXPANSION, KILLER) if bucketed else (MODE_STANDARD,)
         self.paying: dict[tuple[int, str], list[Moat]] = {}
+        self.rows: dict[tuple[int, str], tuple[Payment, ...]] = {}
+        self.name = cache(_moat_name)  # payer order only; each name made once per run
         self.at: dict[int, list[Moat]] = {}  # vertex -> the moats holding it
         # The instance's arcs by head and, when bucketed, its non-antenna
         # arcs by tail as (arc, head) pairs.
@@ -189,9 +206,13 @@ class _Payers:
         """Drop the buckets of each arc in `arc_ids` and pay it anew: by its
         `classify_arc` roles when bucketed, else by every entered moat."""
         inst, bought, at, paying = self.inst, self.purchased.ids, self.at, self.paying
+        rows = self.rows
         for arc_id in arc_ids:
             for kind in self.kinds:
-                paying.pop((arc_id, kind), None)
+                # Payer lists change only here, after this pop, so a kept
+                # row dropped with its bucket always matches its payers.
+                if paying.pop((arc_id, kind), None) is not None:
+                    rows.pop((arc_id, kind), None)
             tail, head, _ = inst.arcs[arc_id]
             if head not in at or arc_id in bought:
                 continue
@@ -201,6 +222,23 @@ class _Payers:
                 roles = [(m, MODE_STANDARD) for m in at[head] if tail not in m.vertices]
             for moat, role in roles:
                 paying.setdefault((arc_id, role), []).append(moat)
+
+    def payments(self, bucket: tuple[int, str], amount: Fraction) -> list[Payment]:
+        """The payments of one paid bucket, its payers in name order."""
+        paying = self.paying[bucket]
+        if len(paying) > 1:
+            # Payers go in name order as text ("10,11" before "9,11"), not in
+            # vertex order: that is the order traces are written in.  A lone
+            # payer has no order, so it needs no name.
+            paying = sorted(paying, key=lambda m: self.name(m.vertices))
+        return [Payment(*bucket, m.vertices, amount) for m in paying]
+
+    def zero_row(self, bucket: tuple[int, str]) -> tuple[Payment, ...]:
+        """The bucket's epsilon-0 payments, kept until its payers change."""
+        row = self.rows.get(bucket)
+        if row is None:
+            row = self.rows[bucket] = tuple(self.payments(bucket, _ZERO))
+        return row
 
     def bought(self, holders: list[Moat], new: Moat | None, reach: set[int]) -> None:
         """Patch the map once arc x->y is in F, given what `moats_after`
@@ -249,7 +287,7 @@ def _epsilon_from_payers(
     # and oracle corpora.
     paid_full = sorted(full.intersection(payers))
     if paid_full:
-        return Fraction(0), paid_full
+        return _ZERO, paid_full
     # The growth that fills each bucket: its room shared among its payers.
     fill_at = {
         (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((arc_id, kind), 0))
@@ -280,7 +318,6 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
     purchased = ArcGraph(inst)  # F, kept for the whole run
     fills: dict[tuple[int, str], Fraction] = {}  # (arc, kind) -> paid so far
     alive = set(inst.terminals)
-    name = cache(_moat_name)  # payer order only; each name made once per run
     moats = active_moats(inst, frozenset())
     payer_map = _Payers(inst, purchased, moats, bucketed)
     payers = payer_map.paying  # patched in place after each purchase
@@ -303,19 +340,17 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 "(unreachable terminal escaped validation)"
             )
         epsilon, tight = _epsilon_from_payers(inst, fills, payers, full)
+        payments: list[Payment] = []
         if epsilon:
             full.update(tight)
-
-        payments = []
-        for bucket, paying in sorted(payers.items()):
-            if epsilon:
-                fills[bucket] = fills.get(bucket, Fraction(0)) + epsilon * len(paying)
-            if len(paying) > 1:
-                # Payers go in name order as text ("10,11" before "9,11"),
-                # not in vertex order: that is the order traces are written
-                # in.  A lone payer has no order, so it needs no name.
-                paying = sorted(paying, key=lambda m: name(m.vertices))
-            payments.extend(Payment(*bucket, m.vertices, epsilon) for m in paying)
+            for bucket, paying in sorted(payers.items()):
+                fills[bucket] = fills.get(bucket, _ZERO) + epsilon * len(paying)
+                payments += payer_map.payments(bucket, epsilon)
+        else:
+            # Most iterations: nothing fills, and each bucket pays its kept
+            # epsilon-0 row, built once per change of its payers.
+            for bucket in sorted(payers):
+                payments += payer_map.zero_row(bucket)
 
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
@@ -436,8 +471,15 @@ def _frac_str(value: Fraction) -> str:
 
 def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     """JSON Lines: a header record, then one record per iteration with all
-    rationals as exact p/q strings and moats as names."""
+    rationals as exact p/q strings and moats as names.
+
+    Iteration lines are formatted here, byte for byte what
+    `json.dumps(row, sort_keys=True)` gives; only kinds and labels can need
+    escaping, since moat names and p/q strings hold digits, signs, commas
+    and slashes.  A payment whose amount is its record's epsilon object
+    reuses the epsilon's text."""
     name = cache(_moat_name)  # one memo per call, so it dies with the write
+    text = cache(json.dumps)  # kinds and labels
     header = {
         "record": "header",
         "mode": trace.mode,
@@ -448,18 +490,21 @@ def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     }
     out.write(json.dumps(header, sort_keys=True) + "\n")
     for rec in trace.iterations:
-        row = {
-            "record": "iteration",
-            "l": rec.index,
-            "epsilon": _frac_str(rec.epsilon),
-            "moats": [name(vertices) for vertices in rec.moats],
-            "payments": [
-                [p.arc, p.kind, name(p.moat), _frac_str(p.amount)] for p in rec.payments
-            ],
-            "purchase": [rec.purchased[0], rec.purchased[1]],
-            "kills": list(rec.kills),
-        }
-        out.write(json.dumps(row, sort_keys=True) + "\n")
+        epsilon = rec.epsilon
+        epsilon_text = _frac_str(epsilon)
+        moats = ", ".join(f'"{name(vertices)}"' for vertices in rec.moats)
+        payments = ", ".join(
+            f'[{p.arc}, {text(p.kind)}, "{name(p.moat)}", '
+            f'"{epsilon_text if p.amount is epsilon else _frac_str(p.amount)}"]'
+            for p in rec.payments
+        )
+        kills = ", ".join(map(str, rec.kills))
+        arc, label = rec.purchased
+        out.write(
+            f'{{"epsilon": "{epsilon_text}", "kills": [{kills}], "l": {rec.index}, '
+            f'"moats": [{moats}], "payments": [{payments}], '
+            f'"purchase": [{arc}, {text(label)}], "record": "iteration"}}\n'
+        )
 
 
 def _typed(kind: type):
@@ -549,10 +594,13 @@ def read_trace(src: IO[str]) -> GrowthTrace:
     )
     rational = _memoized(lambda text: parse_rational(text, "rational"))
     name = _memoized(_moat_vertices)
+    memo: dict[tuple[int, str, str, str], Payment] = {}  # one Payment per distinct row
 
     def payments(value) -> tuple[Payment, ...]:
         # Payments outnumber every other field of a trace, so one loop
-        # checks each row in place of a parser per element.
+        # checks each row in place of a parser per element, and each
+        # distinct row becomes one Payment.  The key is built only after
+        # the type checks: true and 1.0 hash equal to the arc id 1.
         parsed = []
         for row in _list(value):
             if type(row) is not list or len(row) != 4:
@@ -560,7 +608,13 @@ def read_trace(src: IO[str]) -> GrowthTrace:
             arc, kind, moat, amount = row
             if type(arc) is not int or arc < 0 or type(kind) is not str:
                 raise TypeError
-            parsed.append(Payment(arc, kind, name(moat), rational(amount)))
+            if type(moat) is not str or type(amount) is not str:
+                raise TypeError
+            key = (arc, kind, moat, amount)
+            payment = memo.get(key)
+            if payment is None:
+                payment = memo[key] = Payment(arc, kind, name(moat), rational(amount))
+            parsed.append(payment)
         return tuple(parsed)
 
     for rec in records[1:]:

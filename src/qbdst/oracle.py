@@ -35,7 +35,7 @@ beyond the table thus does not grow with the 3^k splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .instance import InputError, Instance
@@ -64,6 +64,25 @@ class OptResult:
 def _scaled_costs(inst: Instance) -> tuple[list[int], int]:
     scale = math.lcm(1, *(arc.cost.denominator for arc in inst.arcs)) if inst.arcs else 1
     return [int(arc.cost * scale) for arc in inst.arcs], scale
+
+
+def _touched(inst: Instance) -> Instance:
+    """`inst` over the root, the terminals and the nodes some arc touches,
+    renumbered 1.. in ascending order; arcs keep their ids.  A node no arc
+    touches lies on no path and never attains a table minimum, and the
+    kept nodes keep their order, so Dijkstra's and `argmin`'s ties still
+    go to the smallest node id and the DP returns what it would on `inst`."""
+    ends = {inst.root, *inst.terminals}
+    for arc in inst.arcs:
+        ends.update((arc.tail, arc.head))
+    number = {v: i for i, v in enumerate(sorted(ends), 1)}
+    return replace(
+        inst,
+        node_count=len(number),
+        root=number[inst.root],
+        terminals=frozenset(number[t] for t in inst.terminals),
+        arcs=tuple(arc._replace(tail=number[arc.tail], head=number[arc.head]) for arc in inst.arcs),
+    )
 
 
 def _dijkstra_all(
@@ -115,7 +134,8 @@ def _path_arcs(parent_all: list[list[int]], inst: Instance, source: int, target:
 def exact_opt_dp(inst: Instance) -> OptResult:
     """Terminal-subset DP: D[S][v] is the cheapest way to reach every
     terminal of S from v, built by splitting S at v and walking shortest
-    paths.  D is one (2^k, n) table in the narrowest signed integer type
+    paths.  It runs over the root, the terminals and the nodes some arc
+    touches (n of them, `_touched`).  D is one (2^k, n) table in the narrowest signed integer type
     that holds 4 * big, filled one popcount layer at a time.  A wide
     layer (masks at least a quarter of a mask's splits) walks each
     group's splits in Gray-code order with one gather per half and an
@@ -128,13 +148,16 @@ def exact_opt_dp(inst: Instance) -> OptResult:
     unreachable terminals."""
     import numpy as np  # imported here so that the solver and CLI start without it
 
-    terminals = sorted(inst.terminals)
-    k = len(terminals)
+    k = len(inst.terminals)
     if k > DP_TERMINAL_LIMIT:
         raise OracleGuardError(f"subset DP limited to {DP_TERMINAL_LIMIT} terminals, got {k}")
     if k == 0:
         return OptResult(Fraction(0), frozenset(), "subset_dp")
 
+    # The table, the distance matrix and the Dijkstra runs scale with the
+    # nodes, so nodes that no arc touches are left out.
+    inst = _touched(inst)
+    terminals = sorted(inst.terminals)
     costs, scale = _scaled_costs(inst)
     big = sum(costs) + 1
     n = inst.node_count

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import IO, Iterable
 
 from qbdst.engine import MODE_BUCKETED, MODE_STANDARD, GrowthTrace, Solution
 from qbdst.instance import Arc, ArcGraph, Instance, validate
@@ -92,6 +93,33 @@ def brute_cvc(g: UndirectedGraph) -> int:
             if len(seen) == k:
                 return k
     raise AssertionError("full vertex set is always a connected cover")
+
+
+def write_trace_reference(trace: GrowthTrace, out: IO[str]) -> None:
+    """`engine.write_trace` as it was before it formatted iteration lines
+    itself: every line is `json.dumps(row, sort_keys=True)`."""
+    name = lambda vertices: ",".join(map(str, sorted(vertices)))
+    frac = lambda value: f"{value.numerator}/{value.denominator}"
+    header = {
+        "record": "header",
+        "mode": trace.mode,
+        "instance": trace.instance_hash,
+        "nodes": trace.node_count,
+        "root": trace.root,
+        "terminals": sorted(trace.terminals),
+    }
+    out.write(json.dumps(header, sort_keys=True) + "\n")
+    for rec in trace.iterations:
+        row = {
+            "record": "iteration",
+            "l": rec.index,
+            "epsilon": frac(rec.epsilon),
+            "moats": [name(vertices) for vertices in rec.moats],
+            "payments": [[p.arc, p.kind, name(p.moat), frac(p.amount)] for p in rec.payments],
+            "purchase": [rec.purchased[0], rec.purchased[1]],
+            "kills": list(rec.kills),
+        }
+        out.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 class InvariantBreach(RuntimeError):

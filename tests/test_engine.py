@@ -46,6 +46,7 @@ from conftest import (
     random_connected_graph,
     random_qb_instance,
     random_valid_instance,
+    write_trace_reference,
 )
 
 EPS = Fraction(1, 100)
@@ -385,12 +386,35 @@ def test_trace_round_trip_and_determinism():
         for mode in MODES:
             trace = grow(inst, mode)
             text = _trace_text(trace)
+            # write_trace formats iteration lines itself; they must be byte
+            # for byte what json.dumps(row, sort_keys=True) gives.
+            assert text == _reference_text(trace)
             loaded = read_trace(io.StringIO(text))
             assert loaded.mode == trace.mode
             assert loaded.instance_hash == trace.instance_hash
             assert loaded.iterations == trace.iterations
             assert loaded.duals == trace.duals
             assert _trace_text(loaded) == text
+
+
+def test_direct_writer_escapes_like_json_dumps():
+    # read_trace takes any string as a kind or a label, so the writer must
+    # escape them as json.dumps does: quotes, backslashes, control and
+    # non-ASCII characters, those beyond the BMP as surrogate pairs.  Amounts that are not their record's epsilon object, here
+    # numbers other than it, are formatted on their own.
+    _, trace = solve(gen_bad_example(3, EPS))
+    rows = [json.loads(line) for line in _reference_text(trace).splitlines()]
+    odd = ['say "killer"', "back\\slash", "caf\u00e9 \u2192 \U0001f600", "\t"]
+    amounts = ["3/7", "-2/5", "0/1", "10/1"]
+    for i, row in enumerate(rows[1:]):
+        row["purchase"][1] = odd[i % len(odd)]
+        for j, payment in enumerate(row["payments"]):
+            payment[1] = odd[(i + j) % len(odd)]
+            payment[3] = amounts[(i + j) % len(amounts)]
+    assert len(rows) > 4
+    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    loaded = read_trace(io.StringIO(text))
+    assert _trace_text(loaded) == _reference_text(loaded) == text
 
 
 def _payer_corpus():
@@ -802,6 +826,12 @@ def _trace_text(trace):
     return buf.getvalue()
 
 
+def _reference_text(trace):
+    buf = io.StringIO()
+    write_trace_reference(trace, buf)
+    return buf.getvalue()
+
+
 def _four_node_rows():
     _, trace = solve(parse_instance(FOUR_NODE))
     return [json.loads(line) for line in _trace_text(trace).splitlines()]
@@ -883,7 +913,33 @@ def _payments_not_list(rows):
     rows[2]["payments"] = "none"
 
 
+def _repeat_payment(rows, index, value):
+    # Line 2's second payment, [1, "killer", "3", "1/1"], appended to line
+    # 4's payments with one field replaced.  read_trace keeps one Payment
+    # per distinct row, so the replaced field must fail its type check
+    # even where it hashes equal to the valid row's.
+    row = list(rows[1]["payments"][1])
+    assert row == [1, KILLER, "3", "1/1"]
+    row[index] = value
+    rows[3]["payments"].append(row)
+
+
+def _repeated_row_true_arc(rows):
+    _repeat_payment(rows, 0, True)
+
+
+def _repeated_row_float_arc(rows):
+    _repeat_payment(rows, 0, 1.0)
+
+
+def _repeated_row_number_amount(rows):
+    _repeat_payment(rows, 3, 1)
+
+
 PAYMENTS_MUST_BE = "trace line 3: payments must be"
+FULL_PAYMENTS_MESSAGE = (
+    "trace line 4: payments must be a list of [arc id >= 0, kind, moat name, p/q]"
+)
 
 
 @pytest.mark.parametrize(
@@ -908,6 +964,9 @@ PAYMENTS_MUST_BE = "trace line 3: payments must be"
         (_int_payment_kind, PAYMENTS_MUST_BE),
         (_float_payment_amount, PAYMENTS_MUST_BE),
         (_payments_not_list, PAYMENTS_MUST_BE),
+        (_repeated_row_true_arc, FULL_PAYMENTS_MESSAGE),
+        (_repeated_row_float_arc, FULL_PAYMENTS_MESSAGE),
+        (_repeated_row_number_amount, FULL_PAYMENTS_MESSAGE),
     ],
 )
 def test_read_trace_rejects_schema_errors(tamper, message):

@@ -396,3 +396,52 @@ def test_no_terminals_is_zero():
     )
     assert exact_opt_dp(inst).opt_cost == 0
     assert exact_opt_brute(inst).opt_cost == 0
+
+
+def _padded(inst: Instance, stride: int, extra: int) -> Instance:
+    """`inst` with node v renamed stride * (v - 1) + 1 and `extra` nodes
+    after the last: stride - 1 nodes that no arc touches between each pair
+    of its nodes, and `extra` more at the end.  Arc ids are unchanged."""
+    rename = lambda v: stride * (v - 1) + 1
+    return replace(
+        inst,
+        node_count=rename(inst.node_count) + extra,
+        root=rename(inst.root),
+        terminals=frozenset(map(rename, inst.terminals)),
+        arcs=tuple(a._replace(tail=rename(a.tail), head=rename(a.head)) for a in inst.arcs),
+    )
+
+
+def test_dp_runs_over_the_nodes_arcs_touch(monkeypatch):
+    # The distance matrix has one row per node that the root, a terminal or
+    # an arc touches, however many nodes the instance declares: the 45-byte
+    # single-arc instance at NODES 100000 took over a minute when every
+    # declared node got a Dijkstra run and a row.
+    rows = []
+
+    def counted(inst, costs, big):
+        dist_all, parent_all = _dijkstra_all(inst, costs, big)
+        rows.append(len(dist_all))
+        return dist_all, parent_all
+
+    monkeypatch.setattr(oracle, "_dijkstra_all", counted)
+    single = "NODES {}\nROOT 1\nTERMINALS 2\nARC 1 2 1\nEND\n"
+    opt = OptResult(Fraction(1), frozenset({0}), "subset_dp")
+    assert exact_opt_dp(parse_instance(single.format(60))) == opt
+    four = parse_instance(FOUR_NODE)
+    assert exact_opt_dp(_padded(four, 5, 20)) == exact_opt_dp(four)
+    assert rows == [2, 3, 3]
+    assert exact_opt_dp(parse_instance(single.format(100000))) == opt
+    assert rows[-1] == 2
+
+
+def test_dp_ignores_nodes_no_arc_touches_on_reductions():
+    # Nodes no arc touches, between and after an instance's own, change
+    # neither the optimum nor which optimal arcs the DP returns: the kept
+    # nodes keep their order, so every tie falls as before.
+    rng = random.Random(20261022)
+    for n in (4, 5, 6):
+        inst = reduce_cvc(random_connected_graph(rng, n, 8))
+        expected = exact_opt_dp(inst)
+        for stride, extra in ((1, 7), (2, 0), (3, 5)):
+            assert exact_opt_dp(_padded(inst, stride, extra)) == expected, (n, stride, extra)
