@@ -17,19 +17,22 @@ an arc always equal its dual load sum over entered sets, so the
 accumulated duals y satisfy load <= 2c per arc and y/2 certifies the
 lower bound.
 
-Each step's bookkeeping costs only what changed.  `grow` keeps the set of
-full buckets as they fill, so the epsilon-0 shortcut is a set lookup, and
-tests only the moats that hold the bought arc's head for kills.  It keeps
-the payer map, which moats pay which bucket, for the whole run too, with
-the instance's arcs indexed by head and by tail.  After a purchase x->y
-it re-derives only the arcs into the moats that held or now hold y and,
-when bucketed, the non-antenna arcs out of the vertices y reaches (the
-`moats` module docstring gives the rule and its proof); every other arc
-keeps its buckets, and the payments still name every paid bucket.  Most
-iterations have epsilon 0, and their payments differ from the last
-epsilon-0 iteration's only in the re-derived buckets, so the map keeps
-each bucket's epsilon-0 payment row, built when first needed and dropped
-with the bucket's payers; such an iteration joins the kept rows.  Reverse
+Each step's bookkeeping costs only what changed.  `grow` keeps the set
+of full buckets as they fill, so the epsilon-0 shortcut is a set lookup,
+and tests only the moats that hold the bought arc's head for kills.  It
+keeps the payer map, which moats pay which bucket, for the whole run
+too, with the unbought arcs indexed by head and by tail: a purchase
+drops its arc's buckets once and takes the arc out of both indexes,
+since F only grows and no arc of F enters an active moat, so an arc of F
+is never paid again.  After a purchase x->y it re-derives only the arcs
+into the moats that held or now hold y and, when bucketed, the
+non-antenna arcs out of the vertices y reaches (the `moats` module
+docstring gives the rule and its proof); every other arc keeps its
+buckets, and the payments still name every paid bucket.  Most iterations
+have epsilon 0, and their payments differ from the last epsilon-0
+iteration's only in the re-derived buckets, so the map keeps each
+bucket's epsilon-0 payment row, built when first needed and dropped with
+the bucket's payers; such an iteration joins the kept rows.  Reverse
 delete tests the whole purchase list once with `is_feasible`: an
 infeasible list keeps every purchase, since removing arcs never restores
 reachability.  Otherwise each purchase u->v costs one search from the
@@ -170,8 +173,9 @@ class _Payers:
 
     Only arcs outside F whose head is in a moat and whose tail is not get
     paid; everything else (arcs into no moat, arcs internal to a moat,
-    bought arcs) receives nothing.  After a purchase, `bought` re-derives
-    only the arcs whose entries it can change; every other arc keeps its
+    bought arcs) receives nothing.  After a purchase, `bought` drops the
+    bought arc from the arc indexes for good and re-derives only the arcs
+    whose entries the purchase can change; every other arc keeps its
     buckets.
     """
 
@@ -186,8 +190,8 @@ class _Payers:
         self.rows: dict[tuple[int, str], tuple[Payment, ...]] = {}
         self.name = cache(_moat_name)  # payer order only; each name made once per run
         self.at: dict[int, list[Moat]] = {}  # vertex -> the moats holding it
-        # The instance's arcs by head and, when bucketed, its non-antenna
-        # arcs by tail as (arc, head) pairs.
+        # The unbought arcs by head and, when bucketed, the unbought
+        # non-antenna arcs by tail as (arc, head) pairs.
         self.into: dict[int, list[int]] = {}
         self.out: dict[int, list[tuple[int, int]]] = {}
         for arc_id, (tail, head, _) in enumerate(inst.arcs):
@@ -204,7 +208,8 @@ class _Payers:
 
     def _rederive(self, arc_ids: Iterable[int]) -> None:
         """Drop the buckets of each arc in `arc_ids` and pay it anew: by its
-        `classify_arc` roles when bucketed, else by every entered moat."""
+        `classify_arc` roles when bucketed, else by every entered moat.  A
+        bought arc is only dropped."""
         inst, bought, at, paying = self.inst, self.purchased.ids, self.at, self.paying
         rows = self.rows
         for arc_id in arc_ids:
@@ -240,15 +245,23 @@ class _Payers:
             row = self.rows[bucket] = tuple(self.payments(bucket, _ZERO))
         return row
 
-    def bought(self, holders: list[Moat], new: Moat | None, reach: set[int]) -> None:
-        """Patch the map once arc x->y is in F, given what `moats_after`
-        returned: `holders`, the moats of F that hold y, `new`, the one new
-        moat of F + {x->y}, and `reach`, y's forward reach there.
+    def bought(
+        self, arc_id: int, holders: list[Moat], new: Moat | None, reach: set[int]
+    ) -> None:
+        """Patch the map once arc x->y, `arc_id`, is in F, given what
+        `moats_after` returned: `holders`, the moats of F that hold y, `new`,
+        the one new moat of F + {x->y}, and `reach`, y's forward reach there.
 
-        Re-derives every arc into a vertex of those moats, the bought arc
-        among them, and when bucketed every non-antenna arc into another
-        moat whose tail y reaches (the `moats` module docstring gives the
-        rule and its proof)."""
+        Drops the bought arc's buckets and takes it out of the arc indexes:
+        F only grows, so it is never paid again.  Then re-derives every
+        unbought arc into a vertex of those moats and, when bucketed, every
+        unbought non-antenna arc into another moat whose tail y reaches (the
+        `moats` module docstring gives the rule and its proof)."""
+        self._rederive((arc_id,))
+        tail, head, _ = self.inst.arcs[arc_id]
+        self.into[head].remove(arc_id)
+        if self.bucketed and not is_antenna_arc(self.inst, arc_id):
+            self.out[tail].remove((arc_id, head))
         at = self.at
         changed: set[int] = set()
         for old in holders:
@@ -289,11 +302,14 @@ def _epsilon_from_payers(
     if paid_full:
         return _ZERO, paid_full
     # The growth that fills each bucket: its room shared among its payers.
-    fill_at = {
-        (arc_id, kind): (inst.arcs[arc_id].cost - fills.get((arc_id, kind), 0))
-        / len(paying)
-        for (arc_id, kind), paying in payers.items()
-    }
+    # An unfilled bucket's room is its cost, and a lone payer's growth is
+    # the room itself.
+    fill_at: dict[tuple[int, str], Fraction] = {}
+    for bucket, paying in payers.items():
+        cost = inst.arcs[bucket[0]].cost
+        fill = fills.get(bucket)
+        room = cost if fill is None else cost - fill
+        fill_at[bucket] = room if len(paying) == 1 else room / len(paying)
     epsilon = min(fill_at.values())
     tight = sorted(bucket for bucket, growth in fill_at.items() if growth == epsilon)
     return epsilon, tight
@@ -344,7 +360,9 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         if epsilon:
             full.update(tight)
             for bucket, paying in sorted(payers.items()):
-                fills[bucket] = fills.get(bucket, _ZERO) + epsilon * len(paying)
+                # A lone payer adds epsilon itself: no product to reduce.
+                added = epsilon if len(paying) == 1 else epsilon * len(paying)
+                fills[bucket] = fills.get(bucket, _ZERO) + added
                 payments += payer_map.payments(bucket, epsilon)
         else:
             # Most iterations: nothing fills, and each bucket pays its kept
@@ -387,7 +405,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 kills=tuple(kills),
             )
         )
-        payer_map.bought(holders, new, reach)
+        payer_map.bought(buy, holders, new, reach)
         moats = new_moats
         index += 1
     return trace

@@ -99,10 +99,12 @@ fwd' and back' in F'.
    back(C) | back(u)), and no Steiner tail of S either: its F-arc into S
    would put y in back(C) or let it reach u.  So the role is the same.
 
-The bought arc needs no case of its own: its head y lies in the moat
-that paid it, and F' holds it, so it is re-derived to nothing.  Nor do the
-arcs whose head reaches x: fwd(v) grows only by vertices of fwd'(y), which
-touch the role only when they reach u.
+The bought arc leaves the map for good: its buckets are dropped once, and
+it leaves the arc indexes the stale arcs are read from.  F only grows and
+no arc of F enters an active moat, so it is never paid again, and no later
+purchase visits it.  The arcs whose head reaches x need no case of their
+own: fwd(v) grows only by vertices of fwd'(y), which touch the role only
+when they reach u.
 """
 
 from __future__ import annotations

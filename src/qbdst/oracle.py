@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .instance import InputError, Instance
 
@@ -89,31 +90,36 @@ def _dijkstra_all(
     inst: Instance, costs: list[int], big: int
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Scaled-integer shortest paths from every source; parent_arc[s][v] is
-    the last arc on the chosen s->v path (-1 at the source/unreached)."""
+    the last arc on the chosen s->v path (-1 at the source/unreached).
+
+    Each step settles the unsettled node of least distance, the smallest
+    node id among equals: a heap of (distance, node id) pairs pops it, and
+    an entry whose node is already settled is stale and skipped.  A
+    node's entry at its current distance precedes every stale one, so the
+    nodes settle in the order a scan over all of them would choose, and
+    the ties and parents are the same."""
     n = inst.node_count
-    out_arcs: list[list[int]] = [[] for _ in range(n + 1)]
+    out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for i, arc in enumerate(inst.arcs):
-        out_arcs[arc.tail].append(i)
+        out_arcs[arc.tail].append((i, arc.head, costs[i]))
     dist_all, parent_all = [], []
     for source in range(1, n + 1):
         dist = [big] * (n + 1)
         parent = [-1] * (n + 1)
         done = [False] * (n + 1)
         dist[source] = 0
-        for _ in range(n):
-            v, dv = 0, big
-            for u in range(1, n + 1):
-                if not done[u] and dist[u] < dv:
-                    v, dv = u, dist[u]
-            if v == 0:
-                break
+        heap = [(0, source)]
+        while heap:
+            dv, v = heappop(heap)
+            if done[v]:
+                continue
             done[v] = True
-            for i in out_arcs[v]:
-                arc = inst.arcs[i]
-                nd = dv + costs[i]
-                if nd < dist[arc.head]:
-                    dist[arc.head] = nd
-                    parent[arc.head] = i
+            for i, head, cost in out_arcs[v]:
+                nd = dv + cost
+                if nd < dist[head]:
+                    dist[head] = nd
+                    parent[head] = i
+                    heappush(heap, (nd, head))
         dist_all.append(dist[1:])
         parent_all.append(parent[1:])
     return dist_all, parent_all

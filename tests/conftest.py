@@ -250,6 +250,41 @@ def payer_map_reference(
     return payers
 
 
+def dijkstra_all_reference(
+    inst: Instance, costs: list[int], big: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The all-sources shortest paths `oracle._dijkstra_all` must match:
+    each step scans all n nodes for the unsettled one of least distance,
+    the first (smallest id) among equals."""
+    n = inst.node_count
+    out_arcs: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, arc in enumerate(inst.arcs):
+        out_arcs[arc.tail].append(i)
+    dist_all, parent_all = [], []
+    for source in range(1, n + 1):
+        dist = [big] * (n + 1)
+        parent = [-1] * (n + 1)
+        done = [False] * (n + 1)
+        dist[source] = 0
+        for _ in range(n):
+            v, dv = 0, big
+            for u in range(1, n + 1):
+                if not done[u] and dist[u] < dv:
+                    v, dv = u, dist[u]
+            if v == 0:
+                break
+            done[v] = True
+            for i in out_arcs[v]:
+                arc = inst.arcs[i]
+                nd = dv + costs[i]
+                if nd < dist[arc.head]:
+                    dist[arc.head] = nd
+                    parent[arc.head] = i
+        dist_all.append(dist[1:])
+        parent_all.append(parent[1:])
+    return dist_all, parent_all
+
+
 def random_qb_instance(
     rng: random.Random,
     max_nodes: int = 10,

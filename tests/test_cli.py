@@ -265,7 +265,7 @@ class _FakePool:
 
 
 def test_bench_jobs_capped_at_file_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "Pool", _FakePool)
+    monkeypatch.setattr("multiprocessing.Pool", _FakePool)
     monkeypatch.setattr(_FakePool, "workers", [])
     bench = tmp_path / "bench"
     bench.mkdir()
@@ -283,7 +283,7 @@ def test_bench_jobs_capped_at_file_count(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bench_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "Pool", _FakePool)
+    monkeypatch.setattr("multiprocessing.Pool", _FakePool)
     monkeypatch.setattr(_FakePool, "workers", [])
     (tmp_path / "a.txt").write_text(SINGLE_ARC, encoding="utf-8")
     assert cli.main(["bench", str(tmp_path), "--jobs", jobs]) == 1
@@ -540,6 +540,20 @@ def test_bench_prints_exact_ratios_and_their_maximum(tmp_path, capsys):
     ]
 
 
+def test_bench_bounds_the_oracle_by_touched_nodes(tmp_path, capsys):
+    # The subset DP runs over the nodes the root, the terminals and the arcs
+    # touch, so bench reports the optimum by that count, not by NODES: here
+    # 3 of 100 declared nodes.
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    sparse = "NODES 100\nROOT 1\nTERMINALS 3\nARC 1 2 1\nARC 2 3 1\nEND\n"
+    (bench / "sparse.txt").write_text(sparse, encoding="utf-8")
+    assert cli.main(["bench", str(bench)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "sparse.txt cost=2 lb=1 ratio_lb=2 ratio_opt=1 audit=ok"
+    )
+
+
 @pytest.mark.parametrize("bad", ["missing", "file"])
 def test_bench_rejects_non_directory(tmp_path, capsys, bad):
     path = tmp_path / "bench"
@@ -764,3 +778,19 @@ def test_numpy_is_imported_only_by_the_oracle(four_node_file, flags, loaded):
         env=_child_env(),
     )
     assert result.stderr.splitlines()[-1] == f"{loaded} 0"
+
+
+def test_cli_import_loads_neither_multiprocessing_nor_numpy():
+    # Every CLI start and every benchmark set-up pays for what
+    # `import qbdst.cli` loads.  Only `bench --jobs` needs multiprocessing
+    # and only the subset DP needs numpy, so each imports it when it runs.
+    script = (
+        "import sys\n"
+        "import qbdst.cli\n"
+        "print(sorted({'multiprocessing', 'numpy'} & sys.modules.keys()))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

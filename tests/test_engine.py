@@ -485,7 +485,15 @@ def test_classify_recomputes_linear_on_bad_example(monkeypatch, k):
     # screen search; validation and reverse delete's is_feasible make one
     # each.  A second forward search per purchase in the payer map made 77,
     # 163 and 383, one more per purchase (18, 34 and 66).
-    calls = {"active_moats": 0, "classify_arc": 0, "reach": 0}
+    #
+    # The arcs the payer map re-derives, counted per arc id it is handed,
+    # the bought arc included: every arc once at the start, then per
+    # purchase the bought arc and the unbought arcs the rule names.  Every
+    # arc of this family is bought, and the growing moat holds the heads of
+    # all earlier purchases, so keeping bought arcs in the map's indexes
+    # re-derived them at every later purchase: 146, 436 and 1448 bucketed,
+    # 143, 429 and 1433 in standard mode, quadratic in k.
+    calls = {"active_moats": 0, "classify_arc": 0, "reach": 0, "rederived": 0}
 
     def counted(owner, name):
         func = getattr(owner, name)
@@ -499,15 +507,27 @@ def test_classify_recomputes_linear_on_bad_example(monkeypatch, k):
     counted(moats_module, "active_moats")
     counted(engine_module, "classify_arc")
     counted(ArcGraph, "reach")
+    rederive = engine_module._Payers._rederive
+
+    def counted_rederive(self, arc_ids):
+        arc_ids = list(arc_ids)
+        calls["rederived"] += len(arc_ids)
+        rederive(self, arc_ids)
+
+    monkeypatch.setattr(engine_module._Payers, "_rederive", counted_rederive)
     inst = gen_bad_example(k, EPS)
     for _ in range(2):
-        calls.update(active_moats=0, classify_arc=0, reach=0)
+        calls.update(active_moats=0, classify_arc=0, reach=0, rederived=0)
         solve(inst)
         assert calls == {
             "active_moats": k - 1,
             "classify_arc": {4: 40, 8: 112, 16: 352}[k],
             "reach": {4: 59, 8: 129, 16: 317}[k],
+            "rederived": {4: 70, 8: 170, 16: 466}[k],
         }
+        calls["rederived"] = 0
+        grow(inst, MODE_STANDARD)
+        assert calls["rederived"] == {4: 67, 8: 163, 16: 451}[k]
 
 
 def test_standard_labels_match_strongest_classify_role():

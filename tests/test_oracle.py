@@ -22,7 +22,14 @@ from qbdst.oracle import (
     exact_opt_dp,
 )
 
-from conftest import FOUR_NODE, SINGLE_ARC, random_connected_graph, random_valid_instance
+from conftest import (
+    FOUR_NODE,
+    SINGLE_ARC,
+    dijkstra_all_reference,
+    random_connected_graph,
+    random_qb_instance,
+    random_valid_instance,
+)
 
 EPS = Fraction(1, 100)
 
@@ -433,6 +440,39 @@ def test_dp_runs_over_the_nodes_arcs_touch(monkeypatch):
     assert rows == [2, 3, 3]
     assert exact_opt_dp(parse_instance(single.format(100000))) == opt
     assert rows[-1] == 2
+
+
+def test_dijkstra_heap_matches_node_scan_reference():
+    # The heap must settle nodes in the scan's order, smallest node id first
+    # among equal distances, so the distance and parent tables are the
+    # scan's exactly.  Unit and 0/1/2 costs make equal distances, and so
+    # equal-cost parents, common; random instances leave nodes unreached.
+    rng = random.Random(2026)
+    instances = [random_qb_instance(rng, max_nodes=14, arc_prob=0.4) for _ in range(150)]
+    for _ in range(30):
+        graph = random_connected_graph(rng, rng.randint(3, 8), max_edges=14)
+        instances.append(reduce_cvc(graph))
+    tied = 0
+    for inst in instances:
+        for costs in (
+            [1] * len(inst.arcs),
+            [rng.randint(0, 2) for _ in inst.arcs],
+        ):
+            big = sum(costs) + 1
+            dist_all, parent_all = _dijkstra_all(inst, costs, big)
+            assert (dist_all, parent_all) == dijkstra_all_reference(inst, costs, big)
+            for dist in dist_all:
+                # A node with two shortest in-arcs: its parent is a tie.
+                tied += any(
+                    sum(
+                        dist[a.tail - 1] + c == dist[v - 1] < big
+                        for a, c in zip(inst.arcs, costs)
+                        if a.head == v
+                    )
+                    > 1
+                    for v in range(1, inst.node_count + 1)
+                )
+    assert tied > 500
 
 
 def test_dp_ignores_nodes_no_arc_touches_on_reductions():
