@@ -102,7 +102,8 @@ def _moat_vertices(name: str) -> frozenset[int]:
 
 
 # The epsilon of every epsilon-0 iteration and the amount of its payments,
-# one object, so `write_trace` formats it once per record.
+# one object, so `write_trace` formats it once per record; `read_trace`
+# returns it for every zero too.
 _ZERO = Fraction(0)
 
 
@@ -610,7 +611,9 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         root=header.get("root", _int, "an integer"),
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
-    rational = _memoized(lambda text: parse_rational(text, "rational"))
+    # Every zero is `_ZERO`, as in a trace `grow` returns, so the audit's
+    # comparison of the two matches epsilon-0 payments by identity.
+    rational = _memoized(lambda text: parse_rational(text, "rational") or _ZERO)
     name = _memoized(_moat_vertices)
     memo: dict[tuple[int, str, str, str], Payment] = {}  # one Payment per distinct row
 

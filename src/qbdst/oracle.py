@@ -11,25 +11,20 @@ Python ints in an object array once 4 * big reaches 2^62.  Unit-cost
 instances thus fill an int16 table.
 
 The DP fills its (2^k, n) table one popcount layer at a time, with no
-Python loop per (mask, submask) pair, and a layer's masks go in groups.
-A wide layer is one whose masks number at least a quarter of a mask's
-2^(p-1) - 1 splits (p the popcount; p <= 9 at k = 12).  There a group
-walks the subsets of its masks' upper p - 1 bits in Gray-code order:
-each step XORs one bit into every mask's two halves, gathers their rows
-into preallocated buffers and folds the sum into the split minima in
-place, so no numpy reduction runs over a short axis.  A narrow layer has
-too few masks to pay for a numpy call per split; there one product of
-the masks' bits with the layer's bit pattern gives a group's split
-indices, and numpy gathers the two halves' rows and takes the minima.
-Either way the closure over the distance matrix then folds in one node
-at a time.  The per-mask split minima are not kept; the reconstruction
-recomputes them with the narrow layers' helpers for the at most 2k-1
-masks it visits, so which optimum it returns does not depend on the
-rule.  A wide group's buffers, a narrow group's split indices and a
-gather each hold at most _TEMP_ELEMENTS entries, or one mask's splits or
-one table row when those are larger; the largest other temporary is one
-narrow layer's (popcount - 1) x 2^(popcount - 1) bit pattern.  Memory
-beyond the table thus does not grow with the 3^k splits.
+Python loop per (mask, submask) pair and one split kernel for every
+layer.  A layer's masks go in groups.  For a group, `splits` builds every
+mask's splits code-major by doubling one bit at a time, so row c holds
+each mask's c-th split and the rows ascend.  `split_minima` gathers blocks
+of those rows from the table with `take`, adds the complements' rows in
+place and folds each block's minimum into the masks' split minima.  The
+closure over the distance matrix then folds in one node at a time.  The
+split minima are not kept; the reconstruction recomputes them with the
+same two helpers for the at most 2k-1 masks it visits.  A group holds at
+most _TEMP_ELEMENTS // max(splits per mask, n) masks and a block at most
+_TEMP_ELEMENTS // (masks * n) splits, each at least 1.  So a group's
+splits, its split minima and each gathered block hold at most
+_TEMP_ELEMENTS entries, or one mask's splits or one table row when those
+are more, and memory beyond the table does not grow with the 3^k splits.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from .instance import InputError, Instance
 DP_TERMINAL_LIMIT = 14
 BRUTE_ARC_LIMIT = 20
 # Entry bound of every temporary array in the subset DP's table fill.
-_TEMP_ELEMENTS = 1 << 14
+_TEMP_ELEMENTS = 1 << 16
 
 
 class OracleGuardError(InputError):
@@ -141,15 +136,14 @@ def exact_opt_dp(inst: Instance) -> OptResult:
     """Terminal-subset DP: D[S][v] is the cheapest way to reach every
     terminal of S from v, built by splitting S at v and walking shortest
     paths.  It runs over the root, the terminals and the nodes some arc
-    touches (n of them, `_touched`).  D is one (2^k, n) table in the narrowest signed integer type
-    that holds 4 * big, filled one popcount layer at a time.  A wide
-    layer (masks at least a quarter of a mask's splits) walks each
-    group's splits in Gray-code order with one gather per half and an
-    in-place minimum per step; a narrow layer gets each group's split
-    indices from one product with the layer's bit pattern and gathers
-    them in batches of bounded size.  The closure over the distance
-    matrix then folds in one node at a time.  The split minima are not
-    stored: the reconstruction recomputes them with the narrow layers'
+    touches (n of them, `_touched`).  D is one (2^k, n) table in the
+    narrowest signed integer type that holds 4 * big, filled one popcount
+    layer at a time by one kernel: each group of masks gets its splits in
+    increasing order, and blocks of them are gathered with `take` and
+    folded into the split minima, every temporary within _TEMP_ELEMENTS
+    entries (the module docstring gives the bound).  The closure over the
+    distance matrix then folds in one node at a time.  The split minima
+    are not stored: the reconstruction recomputes them with the same
     helpers for the masks it visits.  Guarded to 14 terminals; raises on
     unreachable terminals."""
     import numpy as np  # imported here so that the solver and CLI start without it
@@ -177,75 +171,39 @@ def exact_opt_dp(inst: Instance) -> OptResult:
     full = (1 << k) - 1
     D = np.empty((full + 1, n), dtype=dtype)
 
-    def split_pattern(popcount: int):
-        """pattern[j][c] is bit j of c, for the splits c of a mask with
-        `popcount` bits: all but the last of 2^(popcount-1) columns."""
-        shifts = np.arange(popcount - 1, dtype=np.int32)[:, np.newaxis]
-        pattern = np.arange((1 << (popcount - 1)) - 1, dtype=np.int32) >> shifts
-        pattern &= 1  # in place: at the top layers this is the largest temporary
-        return pattern
-
-    def mask_bits(masks, popcount: int):
-        """bits[i][j] is the (j+1)-th lowest bit of masks[i]."""
-        bits = np.empty((len(masks), popcount), dtype=np.int32)
-        rest = masks
-        for j in range(popcount):
-            bits[:, j] = rest & -rest
-            rest = rest ^ bits[:, j]
-        return bits
-
-    def submasks(masks, pattern):
-        """subs[i] lists the proper submasks of masks[i] that hold its
-        lowest bit, in increasing order: column c adds the mask's (j+2)-th
-        lowest bit wherever pattern[j][c] is 1."""
-        bits = mask_bits(masks, len(pattern) + 1)
-        return bits[:, :1] + bits[:, 1:] @ pattern
+    def splits(masks, popcount: int):
+        """subs[c][i] is the c-th proper submask of masks[i] that holds its
+        lowest bit, in increasing order: code-major, built by doubling.
+        Rows [size, 2 * size) are rows [0, size) plus the masks' next bit,
+        and the all-ones code (sub = mask) is no split and never built."""
+        count = (1 << (popcount - 1)) - 1
+        subs = np.empty((count, len(masks)), dtype=masks.dtype)
+        subs[0] = masks & -masks
+        rest = masks ^ subs[0]
+        size = 1
+        while size < count:
+            bit = rest & -rest
+            rest ^= bit
+            step = min(size, count - size)
+            np.add(subs[:step], bit, out=subs[size : size + step])
+            size += step
+        return subs
 
     def split_minima(masks, subs):
-        """best[i][u] = min over the submasks subs[i] of masks[i] of
-        D[sub][u] + D[masks[i] ^ sub][u], capped at `big`.  Each gather
-        takes at most _TEMP_ELEMENTS table entries: several masks with all
-        their splits, or one mask's splits in chunks."""
+        """best[i][u] = min over the submasks subs[:, i] of masks[i] of
+        D[sub][u] + D[masks[i] ^ sub][u], capped at `big`.  Each block of
+        splits gathers both halves' rows into (block, masks, n) arrays of at
+        most _TEMP_ELEMENTS entries, or one split's rows when those are
+        more, and folds their sum's minimum over the block into `best`."""
         best = np.full((len(masks), n), big, dtype=dtype)
-        rows = max(1, _TEMP_ELEMENTS // (n * subs.shape[1]))
-        step = max(1, _TEMP_ELEMENTS // (rows * n))
-        for row in range(0, len(masks), rows):
-            out = best[row : row + rows]
-            for start in range(0, subs.shape[1], step):
-                part = subs[row : row + rows, start : start + step]
-                sums = D[part] + D[masks[row : row + rows, np.newaxis] ^ part]
-                np.minimum(out, sums.min(axis=1), out=out)
-        return best
-
-    def gray_minima(masks, popcount: int):
-        """split_minima over every split of masks, walked in Gray-code
-        order of the splits' upper popcount - 1 bits: each step flips one
-        bit of every mask's `sub` and `comp`, gathers the two halves' rows
-        into preallocated buffers and folds their sum into `best` in place.
-        The all-ones code (sub = mask) is no split and is skipped."""
-        bits = mask_bits(masks, popcount)
-        sub = bits[:, 0].copy()
-        comp = masks ^ sub
-        best = np.full((len(masks), n), big, dtype=dtype)
-        half = np.empty_like(best)
-        other = np.empty_like(best)
-        ones = (1 << (popcount - 1)) - 1
-        for code in range(ones + 1):
-            if code:
-                # Gray code `code` differs from its predecessor in bit
-                # j = ctz(code), the mask's (j+2)-th lowest bit: column j + 1.
-                flip = bits[:, (code & -code).bit_length()]
-                sub ^= flip
-                comp ^= flip
-                if code ^ (code >> 1) == ones:
-                    continue
-            # mode="clip" spares the copy through a temporary that the
-            # default "raise" makes when given `out`; every index is a
-            # submask of a mask in the table, so none is clipped.
-            D.take(sub, axis=0, out=half, mode="clip")
-            D.take(comp, axis=0, out=other, mode="clip")
-            half += other
-            np.minimum(best, half, out=best)
+        block = max(1, _TEMP_ELEMENTS // best.size)
+        for start in range(0, len(subs), block):
+            part = subs[start : start + block]
+            # mode="clip" spares the bounds check; every index is a submask
+            # of a mask in the table, so none is clipped.
+            sums = D.take(part, axis=0, mode="clip")
+            sums += D.take(part ^ masks, axis=0, mode="clip")
+            np.minimum(best, sums.min(axis=0), out=best)
         return best
 
     # to_node[u][v] is the distance from node v + 1 to node u + 1.
@@ -261,35 +219,19 @@ def exact_opt_dp(inst: Instance) -> OptResult:
             np.minimum(out, term, out=out)
         return out
 
-    def fill_layer(layer, popcount: int) -> None:
-        """D[mask] for the masks of one popcount layer, in groups.  A wide
-        layer, whose masks number at least a quarter of a mask's splits,
-        walks the splits in Gray-code order in groups of at most
-        _TEMP_ELEMENTS // n masks.  A narrow layer has too few masks to
-        amortise a numpy call per split, so its groups gather split indices
-        and split minima of at most _TEMP_ELEMENTS entries each; a mask
-        with more splits than that goes alone."""
-        wide = 4 * len(layer) >= (1 << (popcount - 1)) - 1
-        if wide:
-            group = max(1, _TEMP_ELEMENTS // n)
-        else:
-            pattern = split_pattern(popcount)
-            group = max(1, _TEMP_ELEMENTS // max(pattern.shape[1], n))
-        for start in range(0, len(layer), group):
-            masks = layer[start : start + group]
-            if wide:
-                best = gray_minima(masks, popcount)
-            else:
-                best = split_minima(masks, submasks(masks, pattern))
-            D[masks] = close(best)
-
     for i, t in enumerate(terminals):
         D[1 << i] = dist_matrix[:, t - 1]
     popcounts = np.zeros(1, dtype=np.int8)
     for _ in range(k):
         popcounts = np.concatenate((popcounts, popcounts + 1))
     for popcount in range(2, k + 1):
-        fill_layer(np.flatnonzero(popcounts == popcount).astype(np.int32), popcount)
+        # A group's splits and split minima hold at most _TEMP_ELEMENTS
+        # entries, or one mask's splits or one table row when those are more.
+        layer = np.flatnonzero(popcounts == popcount).astype(np.int32)
+        group = max(1, _TEMP_ELEMENTS // max((1 << (popcount - 1)) - 1, n))
+        for start in range(0, len(layer), group):
+            masks = layer[start : start + group]
+            D[masks] = close(split_minima(masks, splits(masks, popcount)))
 
     opt_scaled = int(D[full][inst.root - 1])
     if opt_scaled >= big:
@@ -305,14 +247,14 @@ def exact_opt_dp(inst: Instance) -> OptResult:
             arcs |= _path_arcs(parent_all, inst, v, t)
             continue
         masks = np.array([mask], dtype=np.int32)
-        subs = submasks(masks, split_pattern(mask.bit_count()))
+        subs = splits(masks, mask.bit_count())
         best = split_minima(masks, subs)[0]
         row = dist_matrix[v - 1] + best
         u = int(np.argmin(row)) + 1  # smallest node id among minima
         if int(row[u - 1]) != value:
             raise AssertionError("table entry differs from its recomputed minimum")
         arcs |= _path_arcs(parent_all, inst, v, u)
-        subs = subs[0]
+        subs = subs[:, 0]
         hits = np.flatnonzero(D[subs, u - 1] + D[mask ^ subs, u - 1] == best[u - 1])
         if not len(hits):
             raise AssertionError("split reconstruction failed")
@@ -341,16 +283,19 @@ def exact_opt_brute(inst: Instance) -> OptResult:
     if any(mask == 0 for mask in needed):
         raise InfeasibleInstanceError("some terminal has no incoming arc")
 
-    best_cost: Fraction | None = None
+    # Scaled integers order the masks as their Fraction costs would, so
+    # ties still go to the first feasible mask in ascending order.
+    costs, scale = _scaled_costs(inst)
+    best_cost: int | None = None
     best_mask = 0
     for mask in range(1 << m):
         if any(not mask & req for req in needed):
             continue
-        cost = Fraction(0)
+        cost = 0
         sub = mask
         while sub:
             low = sub & -sub
-            cost += inst.arcs[low.bit_length() - 1].cost
+            cost += costs[low.bit_length() - 1]
             sub ^= low
         if best_cost is not None and cost >= best_cost:
             continue
@@ -368,4 +313,4 @@ def exact_opt_brute(inst: Instance) -> OptResult:
     if best_cost is None:
         raise InfeasibleInstanceError("no feasible arc subset")
     arcs = frozenset(i for i in range(m) if best_mask >> i & 1)
-    return OptResult(best_cost, arcs, "brute_subsets")
+    return OptResult(Fraction(best_cost, scale), arcs, "brute_subsets")

@@ -10,6 +10,7 @@ from typing import IO, Iterable
 from qbdst.engine import MODE_BUCKETED, MODE_STANDARD, GrowthTrace, Solution
 from qbdst.instance import Arc, ArcGraph, Instance, validate
 from qbdst.moats import ANTENNA, KILLER, Moat, classify_arc
+from qbdst.oracle import InfeasibleInstanceError, OptResult
 from qbdst.gen import UndirectedGraph, gen_bad_example, gen_grid, reduce_cvc
 
 SINGLE_ARC = "NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 5\nEND\n"
@@ -93,6 +94,51 @@ def brute_cvc(g: UndirectedGraph) -> int:
             if len(seen) == k:
                 return k
     raise AssertionError("full vertex set is always a connected cover")
+
+
+def exact_opt_brute_reference(inst: Instance) -> OptResult:
+    """`oracle.exact_opt_brute` as it was before it summed scaled integer
+    costs: every mask's cost is a sum of Fractions, with the same ascending
+    mask order and strict improvement, so ties pick the same arcs."""
+    m = len(inst.arcs)
+    terminals = sorted(inst.terminals)
+    if not terminals:
+        return OptResult(Fraction(0), frozenset(), "brute_subsets")
+    term_in_mask = {t: 0 for t in terminals}
+    for i, arc in enumerate(inst.arcs):
+        if arc.head in term_in_mask:
+            term_in_mask[arc.head] |= 1 << i
+    needed = list(term_in_mask.values())
+    if any(mask == 0 for mask in needed):
+        raise InfeasibleInstanceError("some terminal has no incoming arc")
+    best_cost: Fraction | None = None
+    best_mask = 0
+    for mask in range(1 << m):
+        if any(not mask & req for req in needed):
+            continue
+        cost = Fraction(0)
+        sub = mask
+        while sub:
+            low = sub & -sub
+            cost += inst.arcs[low.bit_length() - 1].cost
+            sub ^= low
+        if best_cost is not None and cost >= best_cost:
+            continue
+        reached = {inst.root}
+        frontier = [inst.root]
+        chosen = [inst.arcs[i] for i in range(m) if mask >> i & 1]
+        while frontier:
+            v = frontier.pop()
+            for arc in chosen:
+                if arc.tail == v and arc.head not in reached:
+                    reached.add(arc.head)
+                    frontier.append(arc.head)
+        if all(t in reached for t in terminals):
+            best_cost, best_mask = cost, mask
+    if best_cost is None:
+        raise InfeasibleInstanceError("no feasible arc subset")
+    arcs = frozenset(i for i in range(m) if best_mask >> i & 1)
+    return OptResult(best_cost, arcs, "brute_subsets")
 
 
 def write_trace_reference(trace: GrowthTrace, out: IO[str]) -> None:

@@ -397,6 +397,18 @@ def test_trace_round_trip_and_determinism():
             assert _trace_text(loaded) == text
 
 
+def test_read_trace_returns_the_zero_object():
+    # grow gives every epsilon-0 iteration's epsilon and payment amounts as
+    # engine._ZERO, and a written and re-read trace must too, so that the
+    # audit compares those payments by identity, not through Fraction.
+    trace = grow(gen_bad_example(8, EPS), MODE_BUCKETED)
+    for records in (trace.iterations, read_trace(io.StringIO(_trace_text(trace))).iterations):
+        zeros = [rec.epsilon for rec in records if not rec.epsilon]
+        zeros += [p.amount for rec in records for p in rec.payments if not p.amount]
+        assert len(zeros) > 50
+        assert all(zero is engine_module._ZERO for zero in zeros)
+
+
 def test_direct_writer_escapes_like_json_dumps():
     # read_trace takes any string as a kind or a label, so the writer must
     # escape them as json.dumps does: quotes, backslashes, control and

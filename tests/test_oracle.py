@@ -26,6 +26,7 @@ from conftest import (
     FOUR_NODE,
     SINGLE_ARC,
     dijkstra_all_reference,
+    exact_opt_brute_reference,
     random_connected_graph,
     random_qb_instance,
     random_valid_instance,
@@ -74,6 +75,20 @@ def test_dp_equals_brute_seeded():
     for _ in range(150):
         inst = random_valid_instance(rng)
         assert exact_opt_dp(inst).opt_cost == exact_opt_brute(inst).opt_cost
+
+
+def test_brute_equals_fraction_sum_reference():
+    # Scaled integer sums must pick the mask the Fraction sums picked, ties
+    # included: zero costs and small rationals make equal-cost masks common.
+    rng = random.Random(58)
+    scaled = 0
+    for _ in range(120):
+        inst = random_valid_instance(rng, max_nodes=6, max_arcs=14)
+        result = exact_opt_brute(inst)
+        assert result == exact_opt_brute_reference(inst)
+        assert inst.cost_of(result.opt_arcs) == result.opt_cost
+        scaled += _scaled_costs(inst)[1] > 1
+    assert scaled > 60
 
 
 def test_bounds_bracket_opt():
@@ -128,11 +143,12 @@ def test_dp_matches_pinned_digest():
 
 
 def test_dp_digest_holds_with_tiny_temporaries(monkeypatch):
-    # A tiny bound sends the pinned corpus through the chunked splits and
-    # the multi-group layers, which at the default bound only the instances
-    # with 11 or more terminals reach.  32 entries does so from 5 terminals
-    # up; above 10 terminals it would take minutes, so those instances run
-    # at 4096, which still reaches both branches there.
+    # A tiny bound sends the pinned corpus through splits cut into several
+    # blocks and layers cut into several groups, which at the default bound
+    # only the instances with 10 (blocks) or 13 (groups) or more terminals
+    # reach.  32 entries does both from 4 terminals up; above 10 terminals
+    # it would take minutes, so those instances run at 4096, which still
+    # does both there.
     def run(inst):
         bound = 32 if len(inst.terminals) <= 10 else 4096
         monkeypatch.setattr(oracle, "_TEMP_ELEMENTS", bound)
@@ -147,8 +163,9 @@ def _exact_opt_dp_reference(inst: Instance) -> OptResult:
     every layer's split indices come from one product of the masks' bits
     with the layer's bit pattern, the split minima from a min over the
     gathered splits, and the closure from one (masks, n, n) sum and its
-    minimum over the last axis.  The reconstruction is the production
-    one, so equal tables give an equal OptResult."""
+    minimum over the last axis.  The reconstruction makes the production
+    one's choices (the smallest node id, then the largest split that
+    attains the minimum), so equal tables give an equal OptResult."""
     terminals = sorted(inst.terminals)
     k = len(terminals)
     costs, scale = _scaled_costs(inst)
@@ -226,13 +243,15 @@ def _exact_opt_dp_reference(inst: Instance) -> OptResult:
     return OptResult(Fraction(opt_scaled, scale), frozenset(arcs), "subset_dp")
 
 
-def _dp_instance(rng: random.Random, k: int, steiner: int) -> Instance:
+def _dp_instance(rng: random.Random, k: int, steiner: int, touch_all: bool = False) -> Instance:
     """Seeded quasi-bipartite instance: root 1, terminals 2..k+1, then the
     Steiner nodes.  Each terminal gets an arc from the root or an earlier
     terminal, so every one is reachable, and other arcs are drawn sparsely
     so that small k stays within the brute oracle's arc limit.  The last
     Steiner node has in-arcs only and reaches no terminal, as does any
-    terminal that drew no out-arc; their table entries stay at `big`."""
+    terminal that drew no out-arc; their table entries stay at `big`.
+    With `touch_all`, every other Steiner node also gets an arc from the
+    root or a terminal and one to a terminal, so the DP keeps all n nodes."""
     n = 1 + k + steiner
     sink = n
     arcs: dict[tuple[int, int], Fraction] = {}
@@ -250,6 +269,10 @@ def _dp_instance(rng: random.Random, k: int, steiner: int) -> Instance:
             if rng.random() < 1.5 / n:
                 arcs[(u, v)] = cost()
     arcs.setdefault((rng.randint(1, k + 1), sink), cost())
+    if touch_all:
+        for v in range(k + 2, sink):
+            arcs.setdefault((rng.randint(1, k + 1), v), cost())
+            arcs.setdefault((v, rng.randint(2, k + 1)), cost())
     inst = Instance(
         node_count=n,
         root=1,
@@ -274,9 +297,6 @@ def _table_dtype(inst: Instance) -> str:
 @pytest.mark.parametrize("dtype", list(_DTYPE_TOTAL))
 def test_dp_equals_reference_fill(dtype):
     # k = 1..14 terminals (the object dtype, on Python ints, stops at 8).
-    # From k = 4 on, the top layer p = k falls on the narrow side of the
-    # fill's rule (4 C(k, p) < 2^(p-1) - 1) and layer 2 on the wide side,
-    # so both fills and the closure run on every such table.
     rng = random.Random(f"dp-reference:{dtype}")
     for k in range(1, 9 if dtype == "object" else 15):
         for _ in range(3 if k <= 6 else 1):
@@ -293,6 +313,27 @@ def test_dp_equals_reference_fill(dtype):
             # The brute oracle takes up to 6 s at its limit of 20 arcs here.
             if len(inst.arcs) <= 16:
                 assert result.opt_cost == exact_opt_brute(inst).opt_cost, (k, dtype)
+
+
+@pytest.mark.parametrize("bound", [1 << 16, 256])
+@pytest.mark.parametrize("dtype", ["int16", "int64"])
+def test_dp_equals_reference_fill_with_many_nodes(dtype, bound, monkeypatch):
+    # With 30 or more Steiner nodes, all of them kept, n exceeds the splits
+    # per mask of the low layers (2^(p-1) - 1 < n up to p = 6), so there n,
+    # not the split count, bounds a group's masks.  The default bound keeps
+    # each layer in one group; 256 entries cut the low layers into groups
+    # of a few masks and the top ones into one mask per group, with a few
+    # of its splits per block.
+    monkeypatch.setattr(oracle, "_TEMP_ELEMENTS", bound)
+    rng = random.Random(f"dp-many-nodes:{dtype}")
+    for k in range(6, 11):
+        base = _dp_instance(rng, k, rng.randint(30, 40), touch_all=True)
+        total = sum(_scaled_costs(base)[0])
+        factor = max(1, _DTYPE_TOTAL[dtype] // max(1, total))
+        inst = replace(base, arcs=tuple(a._replace(cost=a.cost * factor) for a in base.arcs))
+        assert _table_dtype(inst) == dtype
+        assert oracle._touched(inst).node_count > (1 << 5) - 1
+        assert exact_opt_dp(inst) == _exact_opt_dp_reference(inst), (k, dtype)
 
 
 @pytest.mark.parametrize("bits", [7, 15, 31])
@@ -329,10 +370,10 @@ def test_dp_at_dtype_boundaries_equals_brute(bits):
 def test_dp_temporaries_stay_bounded():
     # Beyond its (2^k, n) table the DP holds only bounded temporaries.  On
     # the 14-terminal bad example (a 2^14 x 28 int16 table) the excess is
-    # 4.79 units of _TEMP_ELEMENTS int64 entries with the Gray-code walk of
-    # the wide layers, against 4.78 with every layer filled from split
-    # indices; the per-batch fill with an int64 table reached 6.7, and
-    # building a whole layer's split indices at once reaches about 32.
+    # 1.34 units of _TEMP_ELEMENTS int64 entries with one split kernel for
+    # every layer.  The two fills it replaced held 4.86 units of their
+    # 4x smaller bound, and building a whole layer's split indices at once
+    # reached about 32 of those.
     inst = gen_bad_example(12, Fraction(1, 7))
     costs, _ = _scaled_costs(inst)
     itemsize = np.min_scalar_type(-4 * (sum(costs) + 1)).itemsize
