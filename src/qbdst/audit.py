@@ -125,7 +125,7 @@ def verify_dual_feasibility(
     return loads, ok
 
 
-def verify_cost_identity(inst: Instance, trace: GrowthTrace, sol: Solution) -> bool:
+def verify_cost_identity(trace: GrowthTrace, sol: Solution) -> bool:
     """Whether sum_l epsilon_l * sum_A |Delta_l(A)| equals the pruned cost
     exactly, where |Delta_l(A)| counts iteration l's payments to final arcs
     under their eventual purchase label (any payment in standard mode).
@@ -146,9 +146,7 @@ def verify_cost_identity(inst: Instance, trace: GrowthTrace, sol: Solution) -> b
     return total == sol.total_cost
 
 
-def verify_counting_lemmas(
-    inst: Instance, trace: GrowthTrace, sol: Solution
-) -> tuple[bool, Fraction | None]:
+def verify_counting_lemmas(trace: GrowthTrace, sol: Solution) -> tuple[bool, Fraction | None]:
     """Per-iteration checks on the payments to final arcs under their
     eventual purchase label: at most one antenna arc paid per moat and at
     most the moat count in all, at most the moat count of distinct killer
@@ -306,8 +304,8 @@ def run_full(
         report.divergence = (None, SOLUTION)
     report.payments_consistent = report.divergence is None
 
-    report.cost_identity_ok = verify_cost_identity(inst, regrown, certified)
+    report.cost_identity_ok = verify_cost_identity(regrown, certified)
     _, report.dual_feasible_ok = verify_dual_feasibility(inst, regrown.duals)
     if regrown.mode == MODE_BUCKETED:
-        report.lemmas_ok, report.alpha_max = verify_counting_lemmas(inst, regrown, certified)
+        report.lemmas_ok, report.alpha_max = verify_counting_lemmas(regrown, certified)
     return report

@@ -19,6 +19,7 @@ import io
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import audit as audit_mod
@@ -224,12 +225,10 @@ def cmd_audit(args) -> int:
         raise InputError("trace does not match instance (hash mismatch)")
     if _report_invalid(inst):
         return EXIT_INVALID
-    arc_ids = [p.arc for rec in trace.iterations for p in rec.payments]
-    arc_ids += trace.purchases()
-    if arc_ids and max(arc_ids) >= len(inst.arcs):
-        raise InputError(
-            f"trace names arc {max(arc_ids)}, but the instance has {len(inst.arcs)} arcs"
-        )
+    paid = (p.arc for rec in trace.iterations for p in rec.payments)
+    top = max(chain(paid, trace.purchases()), default=-1)
+    if top >= len(inst.arcs):
+        raise InputError(f"trace names arc {top}, but the instance has {len(inst.arcs)} arcs")
     opt = oracle.exact_opt_dp(inst).opt_cost if args.oracle else None
     report = audit_mod.run_full(inst, trace, opt=opt)
     # What the audit certified: the regrown run's solution, not the record's.

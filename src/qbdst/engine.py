@@ -28,11 +28,13 @@ is never paid again.  After a purchase x->y it re-derives only the arcs
 into the moats that held or now hold y and, when bucketed, the
 non-antenna arcs out of the vertices y reaches (the `moats` module
 docstring gives the rule and its proof); every other arc keeps its
-buckets, and the payments still name every paid bucket.  Most iterations
-have epsilon 0, and their payments differ from the last epsilon-0
-iteration's only in the re-derived buckets, so the map keeps each
-bucket's epsilon-0 payment row, built when first needed and dropped with
-the bucket's payers; such an iteration joins the kept rows.  Reverse
+buckets, and the payments still name every paid bucket.  Growth is
+uniform: every active moat pays the iteration's epsilon into each bucket
+it pays, so a payment names only its arc, kind and moat, and its amount
+is its record's epsilon.  An iteration's payments then differ from the
+previous iteration's only in the re-derived buckets, so the map keeps
+each bucket's payment row, built when first needed and dropped with the
+bucket's payers, and every iteration joins the kept rows.  Reverse
 delete tests the whole purchase list once with `is_feasible`: an
 infeasible list keeps every purchase, since removing arcs never restores
 reachability.  Otherwise each purchase u->v costs one search from the
@@ -40,9 +42,11 @@ root over the kept arcs without it, which stops as soon as it reaches v:
 a root path through u->v can then take the other path to v instead.
 
 Trace files cost what they hold.  `write_trace` formats each iteration
-line itself, the record's epsilon once, and `read_trace` makes one
-`Payment` per distinct payment row, so an epsilon-0 run of kept rows is
-written and read back without a `json.dumps` or a `Fraction` per payment.
+line itself, the record's epsilon once and as every payment's amount,
+and `read_trace` rejects an amount that is not its record's epsilon
+text and makes one `Payment` per distinct payment row, so a run of kept
+rows is written and read back without a `json.dumps` or a `Fraction` per
+payment.
 """
 
 from __future__ import annotations
@@ -101,17 +105,13 @@ def _moat_vertices(name: str) -> frozenset[int]:
     return vertices
 
 
-# The epsilon of every epsilon-0 iteration and the amount of its payments,
-# one object, so `write_trace` formats it once per record; `read_trace`
-# returns it for every zero too.
-_ZERO = Fraction(0)
-
-
 class Payment(NamedTuple):
+    """One moat paying one bucket in one iteration.  The amount is not
+    stored: growth is uniform, so it is always the record's epsilon."""
+
     arc: int
     kind: str
     moat: frozenset[int]  # the paying moat's vertices
-    amount: Fraction
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class Solution:
 class _Payers:
     """Which moats pay which bucket, kept for the whole run: `paying` maps
     each paid (arc, kind) bucket to its paying moats, and `rows` a paid
-    bucket to its epsilon-0 payments, built when first needed.
+    bucket to its payments, built when first needed.
 
     Only arcs outside F whose head is in a moat and whose tail is not get
     paid; everything else (arcs into no moat, arcs internal to a moat,
@@ -229,21 +229,18 @@ class _Payers:
             for moat, role in roles:
                 paying.setdefault((arc_id, role), []).append(moat)
 
-    def payments(self, bucket: tuple[int, str], amount: Fraction) -> list[Payment]:
-        """The payments of one paid bucket, its payers in name order."""
-        paying = self.paying[bucket]
-        if len(paying) > 1:
-            # Payers go in name order as text ("10,11" before "9,11"), not in
-            # vertex order: that is the order traces are written in.  A lone
-            # payer has no order, so it needs no name.
-            paying = sorted(paying, key=lambda m: self.name(m.vertices))
-        return [Payment(*bucket, m.vertices, amount) for m in paying]
-
-    def zero_row(self, bucket: tuple[int, str]) -> tuple[Payment, ...]:
-        """The bucket's epsilon-0 payments, kept until its payers change."""
+    def row(self, bucket: tuple[int, str]) -> tuple[Payment, ...]:
+        """The payments of one paid bucket, its payers in name order, kept
+        until its payers change."""
         row = self.rows.get(bucket)
         if row is None:
-            row = self.rows[bucket] = tuple(self.payments(bucket, _ZERO))
+            paying = self.paying[bucket]
+            if len(paying) > 1:
+                # Payers go in name order as text ("10,11" before "9,11"), not
+                # in vertex order: that is the order traces are written in.  A
+                # lone payer has no order, so it needs no name.
+                paying = sorted(paying, key=lambda m: self.name(m.vertices))
+            row = self.rows[bucket] = tuple(Payment(*bucket, m.vertices) for m in paying)
         return row
 
     def bought(
@@ -301,7 +298,7 @@ def _epsilon_from_payers(
     # and oracle corpora.
     paid_full = sorted(full.intersection(payers))
     if paid_full:
-        return _ZERO, paid_full
+        return Fraction(0), paid_full
     # The growth that fills each bucket: its room shared among its payers.
     # An unfilled bucket's room is its cost, and a lone payer's growth is
     # the room itself.
@@ -357,19 +354,17 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 "(unreachable terminal escaped validation)"
             )
         epsilon, tight = _epsilon_from_payers(inst, fills, payers, full)
-        payments: list[Payment] = []
         if epsilon:
             full.update(tight)
-            for bucket, paying in sorted(payers.items()):
+            for bucket, paying in payers.items():
                 # A lone payer adds epsilon itself: no product to reduce.
                 added = epsilon if len(paying) == 1 else epsilon * len(paying)
-                fills[bucket] = fills.get(bucket, _ZERO) + added
-                payments += payer_map.payments(bucket, epsilon)
-        else:
-            # Most iterations: nothing fills, and each bucket pays its kept
-            # epsilon-0 row, built once per change of its payers.
-            for bucket in sorted(payers):
-                payments += payer_map.zero_row(bucket)
+                fill = fills.get(bucket)
+                fills[bucket] = added if fill is None else fill + added
+        # Each bucket pays its kept row, built once per change of its payers.
+        payments: list[Payment] = []
+        for bucket in sorted(payers):
+            payments += payer_map.row(bucket)
 
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
@@ -495,8 +490,7 @@ def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     Iteration lines are formatted here, byte for byte what
     `json.dumps(row, sort_keys=True)` gives; only kinds and labels can need
     escaping, since moat names and p/q strings hold digits, signs, commas
-    and slashes.  A payment whose amount is its record's epsilon object
-    reuses the epsilon's text."""
+    and slashes.  Every payment's amount is its record's epsilon text."""
     name = cache(_moat_name)  # one memo per call, so it dies with the write
     text = cache(json.dumps)  # kinds and labels
     header = {
@@ -509,12 +503,10 @@ def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     }
     out.write(json.dumps(header, sort_keys=True) + "\n")
     for rec in trace.iterations:
-        epsilon = rec.epsilon
-        epsilon_text = _frac_str(epsilon)
+        epsilon_text = _frac_str(rec.epsilon)
         moats = ", ".join(f'"{name(vertices)}"' for vertices in rec.moats)
         payments = ", ".join(
-            f'[{p.arc}, {text(p.kind)}, "{name(p.moat)}", '
-            f'"{epsilon_text if p.amount is epsilon else _frac_str(p.amount)}"]'
+            f'[{p.arc}, {text(p.kind)}, "{name(p.moat)}", "{epsilon_text}"]'
             for p in rec.payments
         )
         kills = ", ".join(map(str, rec.kills))
@@ -592,8 +584,9 @@ class _Record:
 
 def read_trace(src: IO[str]) -> GrowthTrace:
     """Parse a trace file, checking its schema: key presence, value types,
-    arc ids >= 0, moat names and a known mode.  Arc ids beyond the instance
-    are the caller's to reject, since the trace does not know the instance."""
+    arc ids >= 0, moat names, a known mode and payment amounts that are
+    their record's epsilon text.  Arc ids beyond the instance are the
+    caller's to reject, since the trace does not know the instance."""
     records = [
         _Record(number, line)
         for number, line in enumerate(src.read().splitlines(), 1)
@@ -611,43 +604,43 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         root=header.get("root", _int, "an integer"),
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
-    # Every zero is `_ZERO`, as in a trace `grow` returns, so the audit's
-    # comparison of the two matches epsilon-0 payments by identity.
-    rational = _memoized(lambda text: parse_rational(text, "rational") or _ZERO)
+    rational = _memoized(lambda text: parse_rational(text, "rational"))
     name = _memoized(_moat_vertices)
-    memo: dict[tuple[int, str, str, str], Payment] = {}  # one Payment per distinct row
+    memo: dict[tuple[int, str, str], Payment] = {}  # one Payment per distinct row
 
-    def payments(value) -> tuple[Payment, ...]:
+    def payments(value, amount: str) -> tuple[Payment, ...]:
         # Payments outnumber every other field of a trace, so one loop
         # checks each row in place of a parser per element, and each
-        # distinct row becomes one Payment.  The key is built only after
-        # the type checks: true and 1.0 hash equal to the arc id 1.
+        # distinct row becomes one Payment.  Each amount must be `amount`,
+        # the record's epsilon text.  The key is built only after the type
+        # checks: true and 1.0 hash equal to the arc id 1.
         parsed = []
         for row in _list(value):
-            if type(row) is not list or len(row) != 4:
+            if type(row) is not list or len(row) != 4 or row[3] != amount:
                 raise TypeError
-            arc, kind, moat, amount = row
-            if type(arc) is not int or arc < 0 or type(kind) is not str:
+            arc, kind, moat, _ = row
+            if type(arc) is not int or arc < 0 or type(kind) is not str or type(moat) is not str:
                 raise TypeError
-            if type(moat) is not str or type(amount) is not str:
-                raise TypeError
-            key = (arc, kind, moat, amount)
+            key = (arc, kind, moat)
             payment = memo.get(key)
             if payment is None:
-                payment = memo[key] = Payment(arc, kind, name(moat), rational(amount))
+                payment = memo[key] = Payment(arc, kind, name(moat))
             parsed.append(payment)
         return tuple(parsed)
 
     for rec in records[1:]:
         if rec.row.get("record") != "iteration":
             raise InputError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
+        amount = rec.row.get("epsilon")  # every payment's; checked as epsilon first
         trace.iterations.append(
             IterationRecord(
                 index=rec.get("l", _int, "an integer"),
                 epsilon=rec.get("epsilon", rational, "an exact rational string"),
                 moats=rec.get("moats", _list_of(name), "a list of moat names like 2,3"),
                 payments=rec.get(
-                    "payments", payments, "a list of [arc id >= 0, kind, moat name, p/q]"
+                    "payments",
+                    lambda value: payments(value, amount),
+                    "a list of [arc id >= 0, kind, moat name, the record's epsilon]",
                 ),
                 purchased=rec.get("purchase", _purchase, "[arc id >= 0, label]"),
                 kills=rec.get("kills", _list_of(_int), "a list of integers"),

@@ -161,7 +161,7 @@ def write_trace_reference(trace: GrowthTrace, out: IO[str]) -> None:
             "l": rec.index,
             "epsilon": frac(rec.epsilon),
             "moats": [name(vertices) for vertices in rec.moats],
-            "payments": [[p.arc, p.kind, name(p.moat), frac(p.amount)] for p in rec.payments],
+            "payments": [[p.arc, p.kind, name(p.moat), frac(rec.epsilon)] for p in rec.payments],
             "purchase": [rec.purchased[0], rec.purchased[1]],
             "kills": list(rec.kills),
         }

@@ -118,9 +118,9 @@ def test_criterion_1_baseline_bad_example_gap():
         fills: dict[int, Fraction] = {}
         for rec in trace.iterations:
             for p in rec.payments:
-                fills[p.arc] = fills.get(p.arc, Fraction(0)) + p.amount
+                fills[p.arc] = fills.get(p.arc, Fraction(0)) + rec.epsilon
         first_fan = [
-            sum((p.amount for p in trace.iterations[0].payments if p.arc == i), Fraction(0))
+            sum((trace.iterations[0].epsilon for p in trace.iterations[0].payments if p.arc == i), Fraction(0))
             for i in range(k)
         ]
         schedule_ok = schedule_ok and (
@@ -295,12 +295,12 @@ def test_criterion_9_worked_example():
         if inst.arcs[a2].head in members and inst.arcs[a2].tail not in members
     )
     a2_killer = [
-        sum((p.amount for p in rec.payments if p.arc == a2 and p.kind == KILLER), Fraction(0))
+        sum((rec.epsilon for p in rec.payments if p.arc == a2 and p.kind == KILLER), Fraction(0))
         for rec in trace.iterations
     ]
     omitted_step = (
         pinned_a2_load > inst.arcs[a2].cost
-        and Payment(a2, KILLER, frozenset({3}), Fraction(1)) in trace.iterations[1].payments
+        and Payment(a2, KILLER, frozenset({3})) in trace.iterations[1].payments
         and trace.iterations[2].purchased == (a2, KILLER)
         and sum(a2_killer) == inst.arcs[a2].cost == 3
     )

@@ -145,7 +145,7 @@ def _final_counts(trace, sol):
 def test_cost_identity_four_node():
     inst = parse_instance(FOUR_NODE)
     sol, trace = solve(inst)
-    assert verify_cost_identity(inst, trace, sol)
+    assert verify_cost_identity(trace, sol)
     counts = _final_counts(trace, sol)
     # iteration 0 pays both final killer arcs; later iterations one each
     assert [(l, count) for l, _, count in counts] == [(0, 2), (1, 1), (2, 1)]
@@ -155,20 +155,20 @@ def test_cost_identity_four_node():
 def test_cost_identity_single_arc():
     inst = parse_instance(SINGLE_ARC)
     sol, trace = solve(inst)
-    assert verify_cost_identity(inst, trace, sol)
+    assert verify_cost_identity(trace, sol)
     assert _final_counts(trace, sol) == [(0, Fraction(5), 1)]
 
 
 def test_cost_identity_bad_example():
     inst = gen_bad_example(5, EPS)
     sol, trace = solve(inst)
-    assert verify_cost_identity(inst, trace, sol)
+    assert verify_cost_identity(trace, sol)
 
 
 def test_cost_identity_baseline_mode():
     inst = gen_bad_example(4, EPS)
     sol, trace = solve_standard_baseline(inst)
-    assert verify_cost_identity(inst, trace, sol)
+    assert verify_cost_identity(trace, sol)
 
 
 def test_cost_identity_fails_without_one_final_payment():
@@ -177,7 +177,7 @@ def test_cost_identity_fails_without_one_final_payment():
     inst = gen_bad_example(10, Fraction(1, 7))
     trace = grow(inst, MODE_BUCKETED)
     sol = reverse_delete(inst, trace)
-    assert verify_cost_identity(inst, trace, sol)
+    assert verify_cost_identity(trace, sol)
     labels = sol.arc_labels
     index, pos = next(
         (rec.index, pos)
@@ -189,13 +189,13 @@ def test_cost_identity_fails_without_one_final_payment():
     rec = trace.iterations[index]
     payments = rec.payments[:pos] + rec.payments[pos + 1 :]
     trace.iterations[index] = replace(rec, payments=payments)
-    assert not verify_cost_identity(inst, trace, sol)
+    assert not verify_cost_identity(trace, sol)
 
 
 def test_counting_lemmas_four_node():
     inst = parse_instance(FOUR_NODE)
     sol, trace = solve(inst)
-    assert verify_counting_lemmas(inst, trace, sol) == (True, 1)
+    assert verify_counting_lemmas(trace, sol) == (True, 1)
     _, deltas, _ = counting_lemmas_reference(trace, sol)
     first = deltas[0]
     assert first.moat_count == 2
@@ -206,7 +206,7 @@ def test_counting_lemmas_four_node():
 def test_counting_lemmas_bad_example():
     inst = gen_bad_example(10, EPS)
     sol, trace = solve(inst)
-    ok, alpha_max = verify_counting_lemmas(inst, trace, sol)
+    ok, alpha_max = verify_counting_lemmas(trace, sol)
     assert ok
     _, deltas, reference_alpha = counting_lemmas_reference(trace, sol)
     assert alpha_max == reference_alpha
@@ -222,19 +222,18 @@ def _tampered(trace, sol, bound):
     expansions = [a for a in sol.final_arcs if labels[a] == EXPANSION]
     rec = next(r for r in trace.iterations if len(r.moats) >= 2)
     m0, m1 = rec.moats[:2]
-    zero = Fraction(0)
     if bound == "antenna_per_moat":
         moats = (m0, m1)
-        payments = [Payment(antenna, ANTENNA, m0, zero)] * 2
+        payments = [Payment(antenna, ANTENNA, m0)] * 2
     elif bound == "antennas":
         moats = (m0,)
-        payments = [Payment(antenna, ANTENNA, m, zero) for m in (m0, m1)]
+        payments = [Payment(antenna, ANTENNA, m) for m in (m0, m1)]
     elif bound == "killers":
         moats = (m0,)
-        payments = [Payment(a, KILLER, m0, zero) for a in killers[:2]]
+        payments = [Payment(a, KILLER, m0) for a in killers[:2]]
     else:
         moats = (m0,)
-        payments = [Payment(a, EXPANSION, m0, zero) for a in expansions[:3]]
+        payments = [Payment(a, EXPANSION, m0) for a in expansions[:3]]
     iterations = list(trace.iterations)
     iterations[rec.index] = replace(rec, moats=moats, payments=tuple(payments))
     return rec.index, replace(trace, iterations=iterations)
@@ -250,13 +249,13 @@ def test_counting_lemmas_fail_on_each_broken_bound(bound):
     inst = gen_bad_example(10, Fraction(1, 7))
     trace = grow(inst, MODE_BUCKETED)
     sol = reverse_delete(inst, trace)
-    assert verify_counting_lemmas(inst, trace, sol)[0]
+    assert verify_counting_lemmas(trace, sol)[0]
     index, tampered = _tampered(trace, sol, bound)
     ok, deltas, alpha_max = counting_lemmas_reference(tampered, sol)
     assert [(d.index, d.broken_bounds()) for d in deltas if d.broken_bounds()] == [
         (index, [bound])
     ]
-    assert verify_counting_lemmas(inst, tampered, sol) == (False, alpha_max)
+    assert verify_counting_lemmas(tampered, sol) == (False, alpha_max)
 
 
 def test_counting_lemmas_match_reference():
@@ -276,7 +275,7 @@ def test_counting_lemmas_match_reference():
     verdicts = set()
     for inst, trace, sol in runs:
         ok, _, alpha_max = counting_lemmas_reference(trace, sol)
-        assert verify_counting_lemmas(inst, trace, sol) == (ok, alpha_max)
+        assert verify_counting_lemmas(trace, sol) == (ok, alpha_max)
         verdicts.add(ok)
     assert verdicts == {True, False}
 
@@ -285,7 +284,7 @@ def test_counting_lemmas_reject_standard_mode():
     inst = parse_instance(SINGLE_ARC)
     sol, trace = solve_standard_baseline(inst)
     with pytest.raises(ValueError, match="bucketed"):
-        verify_counting_lemmas(inst, trace, sol)
+        verify_counting_lemmas(trace, sol)
 
 
 def test_ratio_report_four_node():

@@ -190,14 +190,30 @@ def test_trace_then_audit(tmp_path, four_node_file):
 
 
 def test_audit_detects_tampered_trace(tmp_path, four_node_file):
+    # Iteration 0's epsilon and, as the trace format requires, each of its
+    # payments' amounts: a well-formed trace that the regrown run refutes.
     trace_path = tmp_path / "trace.jsonl"
     run_cli("solve", str(four_node_file), "--trace", str(trace_path))
     lines = trace_path.read_text(encoding="utf-8").splitlines()
-    lines[1] = lines[1].replace('"epsilon": "1/1"', '"epsilon": "2/1"')
+    lines[1] = lines[1].replace('"1/1"', '"2/1"')
     trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = run_cli("audit", str(four_node_file), "--trace", str(trace_path))
     assert result.returncode == 2
     assert "payments_consistent false" in result.stdout
+    assert "divergence iteration 0 epsilon" in result.stdout.splitlines()
+
+
+def test_audit_rejects_an_epsilon_its_amounts_disagree_with(tmp_path, capsys):
+    # Iteration 0's epsilon alone: every amount is its record's epsilon, so
+    # the trace is malformed, one error line and no report.
+    inst_path, rows = _write_run(tmp_path, FOUR_NODE)
+    rows[1]["epsilon"] = "2/1"
+    trace_path = tmp_path / "t.jsonl"
+    assert _audit_in_process(inst_path, trace_path, [json.dumps(r) for r in rows]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {trace_path}: trace line 2: payments must be")
+    assert captured.err.count("\n") == 1
 
 
 def test_audit_hash_mismatch(tmp_path, four_node_file, single_arc_file):
@@ -747,10 +763,13 @@ def test_exponent_literals_are_one_error_line(tmp_path, capsys):
 
 
 def test_audit_prints_the_certified_solution(tmp_path, capsys):
-    # Iteration 0's epsilon raised to 100: the recorded duals sum to 202,
-    # but the audit prints what it certified, the regrown run's bound.
+    # Iteration 0's epsilon and amounts raised to 100: the recorded duals
+    # sum to 202, but the audit prints what it certified, the regrown run's
+    # bound.
     inst_path, rows = _write_run(tmp_path, FOUR_NODE)
     rows[1]["epsilon"] = "100/1"
+    for payment in rows[1]["payments"]:
+        payment[3] = "100/1"
     lines = [json.dumps(r) for r in rows]
     assert _audit_in_process(inst_path, tmp_path / "t.jsonl", lines) == 2
     out = capsys.readouterr().out.splitlines()

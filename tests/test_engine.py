@@ -57,7 +57,7 @@ def test_compute_epsilon_single_payer():
     inst = parse_instance(SINGLE_ARC)
     _, trace = solve(inst)
     [rec] = trace.iterations
-    assert rec.payments == (Payment(0, KILLER, frozenset({2}), Fraction(5)),)
+    assert rec.payments == (Payment(0, KILLER, frozenset({2})),)
     assert (rec.epsilon, rec.purchased) == (5, (0, KILLER))
 
 
@@ -74,10 +74,10 @@ def test_compute_epsilon_two_moats_split_one_bucket():
     assert [r.purchased for r in trace.iterations[:2]] == [(0, ANTENNA), (1, ANTENNA)]
     rec = trace.iterations[2]
     assert rec.moats == (frozenset({2, 4}), frozenset({3, 4}))
-    half = Fraction(1, 2)
+    assert rec.epsilon == Fraction(1, 2)
     assert [p for p in rec.payments if p.arc == 2] == [
-        Payment(2, KILLER, frozenset({2, 4}), half),
-        Payment(2, KILLER, frozenset({3, 4}), half),
+        Payment(2, KILLER, frozenset({2, 4})),
+        Payment(2, KILLER, frozenset({3, 4})),
     ]
     assert rec.purchased == (2, KILLER)
 
@@ -94,10 +94,10 @@ def test_payers_written_in_name_order():
     sol, trace = solve(inst)
     rec = trace.iterations[2]
     assert rec.moats == (frozenset({9, 11}), frozenset({10, 11}))
-    half = Fraction(1, 2)
+    assert rec.epsilon == Fraction(1, 2)
     assert [p for p in rec.payments if p.arc == 2] == [
-        Payment(2, KILLER, frozenset({10, 11}), half),
-        Payment(2, KILLER, frozenset({9, 11}), half),
+        Payment(2, KILLER, frozenset({10, 11})),
+        Payment(2, KILLER, frozenset({9, 11})),
     ]
     # A trace whose payments follow the text-order rule audits clean.
     rows = [json.loads(line) for line in _trace_text(trace).splitlines()]
@@ -115,14 +115,14 @@ def test_compute_epsilon_partial_fill_and_tight_list():
     inst = parse_instance(FOUR_NODE)
     _, trace = solve(inst)
     first, second = trace.iterations[:2]
-    assert Payment(1, KILLER, frozenset({3}), Fraction(1)) in first.payments
+    assert Payment(1, KILLER, frozenset({3})) in first.payments
     assert second.epsilon == 1
     assert second.payments == (
-        Payment(1, KILLER, frozenset({3}), Fraction(1)),
-        Payment(3, EXPANSION, frozenset({3}), Fraction(1)),
+        Payment(1, KILLER, frozenset({3})),
+        Payment(3, EXPANSION, frozenset({3})),
     )
     assert second.purchased == (3, EXPANSION)
-    a2_killer = sum(p.amount for rec in (first, second) for p in rec.payments if p.arc == 1)
+    a2_killer = sum(rec.epsilon for rec in (first, second) for p in rec.payments if p.arc == 1)
     assert a2_killer == 2 < inst.arcs[1].cost
 
 
@@ -397,32 +397,17 @@ def test_trace_round_trip_and_determinism():
             assert _trace_text(loaded) == text
 
 
-def test_read_trace_returns_the_zero_object():
-    # grow gives every epsilon-0 iteration's epsilon and payment amounts as
-    # engine._ZERO, and a written and re-read trace must too, so that the
-    # audit compares those payments by identity, not through Fraction.
-    trace = grow(gen_bad_example(8, EPS), MODE_BUCKETED)
-    for records in (trace.iterations, read_trace(io.StringIO(_trace_text(trace))).iterations):
-        zeros = [rec.epsilon for rec in records if not rec.epsilon]
-        zeros += [p.amount for rec in records for p in rec.payments if not p.amount]
-        assert len(zeros) > 50
-        assert all(zero is engine_module._ZERO for zero in zeros)
-
-
 def test_direct_writer_escapes_like_json_dumps():
     # read_trace takes any string as a kind or a label, so the writer must
     # escape them as json.dumps does: quotes, backslashes, control and
-    # non-ASCII characters, those beyond the BMP as surrogate pairs.  Amounts that are not their record's epsilon object, here
-    # numbers other than it, are formatted on their own.
+    # non-ASCII characters, those beyond the BMP as surrogate pairs.
     _, trace = solve(gen_bad_example(3, EPS))
     rows = [json.loads(line) for line in _reference_text(trace).splitlines()]
     odd = ['say "killer"', "back\\slash", "caf\u00e9 \u2192 \U0001f600", "\t"]
-    amounts = ["3/7", "-2/5", "0/1", "10/1"]
     for i, row in enumerate(rows[1:]):
         row["purchase"][1] = odd[i % len(odd)]
         for j, payment in enumerate(row["payments"]):
             payment[1] = odd[(i + j) % len(odd)]
-            payment[3] = amounts[(i + j) % len(amounts)]
     assert len(rows) > 4
     text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     loaded = read_trace(io.StringIO(text))
@@ -680,7 +665,7 @@ def _replay_bucket_fills(inst, trace):
     for rec in trace.iterations:
         for p in rec.payments:
             key = (p.kind, p.arc)
-            fills[key] = fills.get(key, Fraction(0)) + p.amount
+            fills[key] = fills.get(key, Fraction(0)) + rec.epsilon
         yield rec, dict(fills)
 
 
@@ -941,6 +926,12 @@ def _float_payment_amount(rows):
     rows[2]["payments"][0][3] = 0.5
 
 
+def _amount_not_epsilon(rows):
+    # An exact rational, but not line 4's epsilon "1/1": growth is uniform,
+    # so every amount is its record's epsilon.
+    rows[3]["payments"][1][3] = "1/2"
+
+
 def _payments_not_list(rows):
     rows[2]["payments"] = "none"
 
@@ -970,7 +961,8 @@ def _repeated_row_number_amount(rows):
 
 PAYMENTS_MUST_BE = "trace line 3: payments must be"
 FULL_PAYMENTS_MESSAGE = (
-    "trace line 4: payments must be a list of [arc id >= 0, kind, moat name, p/q]"
+    "trace line 4: payments must be a list of "
+    "[arc id >= 0, kind, moat name, the record's epsilon]"
 )
 
 
@@ -999,6 +991,7 @@ FULL_PAYMENTS_MESSAGE = (
         (_repeated_row_true_arc, FULL_PAYMENTS_MESSAGE),
         (_repeated_row_float_arc, FULL_PAYMENTS_MESSAGE),
         (_repeated_row_number_amount, FULL_PAYMENTS_MESSAGE),
+        (_amount_not_epsilon, FULL_PAYMENTS_MESSAGE),
     ],
 )
 def test_read_trace_rejects_schema_errors(tamper, message):
