@@ -119,8 +119,9 @@ def test_criterion_1_baseline_bad_example_gap():
         for rec in trace.iterations:
             for p in rec.payments:
                 fills[p.arc] = fills.get(p.arc, Fraction(0)) + rec.epsilon
+        first = trace.iterations[0]
         first_fan = [
-            sum((trace.iterations[0].epsilon for p in trace.iterations[0].payments if p.arc == i), Fraction(0))
+            sum((first.epsilon for p in first.payments if p.arc == i), Fraction(0))
             for i in range(k)
         ]
         schedule_ok = schedule_ok and (
