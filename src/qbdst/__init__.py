@@ -1,87 +1,7 @@
 """Primal-dual approximation for quasi-bipartite directed Steiner tree
-with exact rational arithmetic and verifiable dual certificates."""
+with exact rational arithmetic and verifiable dual certificates.
 
-from .instance import (
-    Arc,
-    ArcGraph,
-    InputError,
-    Instance,
-    InvalidInstanceError,
-    ParseError,
-    instance_hash,
-    is_feasible,
-    normalize_parallel,
-    parse_instance,
-    serialize_instance,
-    validate,
-)
-from .moats import (
-    ANTENNA,
-    EXPANSION,
-    KILLER,
-    Moat,
-    active_moats,
-    classify_arc,
-)
-from .engine import (
-    GrowthTrace,
-    Solution,
-    grow,
-    read_trace,
-    reverse_delete,
-    solve,
-    solve_standard_baseline,
-    write_trace,
-)
-from .audit import (
-    AuditReport,
-    ratio_report,
-    run_full,
-    verify_cost_identity,
-    verify_counting_lemmas,
-    verify_dual_feasibility,
-)
-from .oracle import OptResult, exact_opt_brute, exact_opt_dp
-from .gen import UndirectedGraph, gen_bad_example, gen_grid, reduce_cvc
-
-__all__ = [
-    "Arc",
-    "ArcGraph",
-    "InputError",
-    "Instance",
-    "InvalidInstanceError",
-    "ParseError",
-    "instance_hash",
-    "is_feasible",
-    "normalize_parallel",
-    "parse_instance",
-    "serialize_instance",
-    "validate",
-    "ANTENNA",
-    "EXPANSION",
-    "KILLER",
-    "Moat",
-    "active_moats",
-    "classify_arc",
-    "GrowthTrace",
-    "Solution",
-    "grow",
-    "read_trace",
-    "reverse_delete",
-    "solve",
-    "solve_standard_baseline",
-    "write_trace",
-    "AuditReport",
-    "ratio_report",
-    "run_full",
-    "verify_cost_identity",
-    "verify_counting_lemmas",
-    "verify_dual_feasibility",
-    "OptResult",
-    "exact_opt_brute",
-    "exact_opt_dp",
-    "UndirectedGraph",
-    "gen_bad_example",
-    "gen_grid",
-    "reduce_cvc",
-]
+The package re-exports nothing: import each name from its module
+(`qbdst.instance`, `qbdst.moats`, `qbdst.engine`, `qbdst.audit`,
+`qbdst.oracle`, `qbdst.gen`, `qbdst.cli`), so that importing one module
+loads only what it needs."""

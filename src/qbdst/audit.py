@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .instance import FAMILY_MINOR_FREE, FAMILY_PLANAR_BIPARTITE, Instance
+from .instance import FAMILY_MINOR_FREE, FAMILY_PLANAR_BIPARTITE, Instance, _fmt
 from .engine import MODE_BUCKETED, GrowthTrace, Solution, grow, reverse_delete
 from .moats import ANTENNA, KILLER, is_antenna_arc
 
@@ -27,17 +27,6 @@ from .moats import ANTENNA, KILLER, is_antenna_arc
 from .moats import active_moats, classify_arc  # noqa: F401
 
 PLANAR_RATIO_BOUND = Fraction(20)
-
-
-def _fmt(value, decimal: bool) -> str:
-    """`value` exactly, or n/a for None; with `decimal`, a non-integer
-    Fraction also gets an approximation marked with '~'."""
-    if value is None:
-        return "n/a"
-    text = str(value)
-    if decimal and isinstance(value, Fraction) and value.denominator != 1:
-        text += f" (~{float(value):.6g})"
-    return text
 
 
 @dataclass

@@ -10,6 +10,11 @@ error, a generator argument, an unreadable or undecodable file) print one
 `error:` line and exit 1; a decode or parse error starts with the path of
 its file.  The oracle's size guard exits 3.  Any other exception is a
 bug and keeps its traceback.
+
+Each command imports the modules it runs, so a start loads only those:
+`gen` loads `gen`, `oracle` loads `oracle`, `solve` and `audit` load
+`engine`, `moats` and `audit` (and `oracle` under --oracle), and `bench`
+loads all of these but `gen`.  `import qbdst.cli` alone loads `instance`.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from . import audit as audit_mod
-from . import engine, gen, oracle
-from .audit import _fmt
 from .instance import (
     InputError,
     Instance,
+    OracleGuardError,
+    _fmt,
     instance_hash,
     normalize_parallel,
     parse_instance,
@@ -77,6 +81,12 @@ def _report_invalid(inst: Instance) -> bool:
 
 
 def cmd_solve(args) -> int:
+    # Loaded before the clock: wall_time_s times the run, not the imports.
+    from . import audit as audit_mod, engine
+
+    if args.oracle:
+        from . import oracle
+
     started = time.perf_counter()
     inst = _load_instance(args.instance)
     if _report_invalid(inst):
@@ -122,6 +132,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import gen
+
     if args.generator == "badexample":
         inst = gen.gen_bad_example(args.k, parse_rational(args.eps, "--eps"))
     elif args.generator == "grid":
@@ -141,6 +153,9 @@ def cmd_gen(args) -> int:
 
 
 def _bench_one(path_str: str) -> dict:
+    # Imported here, where a pool worker needs them too.
+    from . import audit as audit_mod, engine, oracle
+
     record = {"name": Path(path_str).name}
     try:
         inst = _load_instance(path_str)
@@ -210,6 +225,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     inst = _load_instance(args.instance)
     result = (oracle.exact_opt_brute if args.brute else oracle.exact_opt_dp)(inst)
     print(f"method {result.method}")
@@ -219,6 +236,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import audit as audit_mod, engine
+
+    if args.oracle:
+        from . import oracle
+
     inst = _load_instance(args.instance)
     trace = _read(args.trace, lambda text: engine.read_trace(io.StringIO(text)))
     if trace.instance_hash != instance_hash(inst):
@@ -305,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except oracle.OracleGuardError as exc:
+    except OracleGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except INPUT_ERRORS as exc:

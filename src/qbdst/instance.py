@@ -10,7 +10,6 @@ purchase tie-breaking order, so arc order is preserved everywhere.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +24,12 @@ class InputError(ValueError):
     """Bad input: a malformed file, a bad argument, or an instance that
     fails validation or an oracle's limits.  The CLI reports it as one
     line; any other ValueError is a bug and keeps its traceback."""
+
+
+class OracleGuardError(InputError):
+    """Instance exceeds the size guard of the requested oracle.  Defined
+    here, not in `oracle`, so that the CLI maps it to its exit code without
+    loading the oracle."""
 
 
 class ParseError(InputError):
@@ -84,6 +89,17 @@ def parse_rational(token: str, what: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise InputError(f"bad {what} literal {token!r}")
+
+
+def _fmt(value, decimal: bool) -> str:
+    """`value` exactly, or n/a for None; with `decimal`, a non-integer
+    Fraction also gets an approximation marked with '~'."""
+    if value is None:
+        return "n/a"
+    text = str(value)
+    if decimal and isinstance(value, Fraction) and value.denominator != 1:
+        text += f" (~{float(value):.6g})"
+    return text
 
 
 def parse_instance(text: str) -> Instance:
@@ -226,6 +242,8 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def instance_hash(inst: Instance) -> str:
+    import hashlib  # imported here so that gen, the oracle and the CLI start without it
+
     return hashlib.sha256(serialize_instance(inst).encode("utf-8")).hexdigest()
 
 

@@ -34,16 +34,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .instance import InputError, Instance
+from .instance import InputError, Instance, OracleGuardError
 
 DP_TERMINAL_LIMIT = 14
 BRUTE_ARC_LIMIT = 20
 # Entry bound of every temporary array in the subset DP's table fill.
 _TEMP_ELEMENTS = 1 << 16
-
-
-class OracleGuardError(InputError):
-    """Instance exceeds the size guard of the requested oracle."""
 
 
 class InfeasibleInstanceError(InputError):

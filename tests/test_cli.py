@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -170,14 +171,31 @@ def test_oracle_command(four_node_file):
     assert "opt 4" in brute.stdout
 
 
-def test_oracle_guard_exit_code(tmp_path):
-    lines = ["NODES 16", "ROOT 1", "TERMINALS " + " ".join(map(str, range(2, 17)))]
-    lines += [f"ARC 1 {v} 1" for v in range(2, 17)]
+def _star_file(path: Path, arcs: int, terminals: int) -> Path:
+    """Arcs from the root 1 to nodes 2..arcs+1, the first `terminals` of
+    them terminals."""
+    lines = [f"NODES {arcs + 1}", "ROOT 1"]
+    lines.append("TERMINALS " + " ".join(map(str, range(2, terminals + 2))))
+    lines += [f"ARC 1 {v} 1" for v in range(2, arcs + 2)]
     lines.append("END")
-    path = tmp_path / "wide.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = run_cli("oracle", str(path))
-    assert result.returncode == 3
+    return path
+
+
+def test_oracle_guard_exit_code(tmp_path):
+    # The guard's error class lives in `instance`, so `main` maps it to
+    # exit 3 whichever command raised it, with one line and no output.
+    wide = _star_file(tmp_path / "wide.txt", 15, 15)
+    many_arcs = _star_file(tmp_path / "many_arcs.txt", 21, 1)
+    for argv in (
+        ["oracle", str(wide)],
+        ["solve", str(wide), "--oracle"],
+        ["oracle", str(many_arcs), "--brute"],
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 3, argv
+        assert result.stdout == ""
+        _one_error_line(result.stderr)
 
 
 def test_trace_then_audit(tmp_path, four_node_file):
@@ -778,38 +796,64 @@ def test_audit_prints_the_certified_solution(tmp_path, capsys):
     assert "divergence iteration 0 epsilon" in out
 
 
-@pytest.mark.parametrize(
-    "flags, loaded", [(["--audit"], False), (["--oracle"], True)], ids=["audit", "oracle"]
-)
-def test_numpy_is_imported_only_by_the_oracle(four_node_file, flags, loaded):
-    # A fresh interpreter: the solver and the audit run without numpy, and
-    # only the subset DP imports it.
-    script = (
-        "import sys\n"
-        "from qbdst import cli\n"
-        "code = cli.main(['solve', sys.argv[1], *sys.argv[2:]])\n"
-        "print('numpy' in sys.modules, code, file=sys.stderr)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(four_node_file), *flags],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    assert result.stderr.splitlines()[-1] == f"{loaded} 0"
+WATCHED = {"numpy", "multiprocessing", "hashlib"}
+CLI_LOADS = {"qbdst", "qbdst.cli", "qbdst.instance"}
+SOLVE_LOADS = CLI_LOADS | {"qbdst.engine", "qbdst.moats", "qbdst.audit", "hashlib"}
+ORACLE_LOADS = {"qbdst.oracle", "numpy"}
+RUN_MAIN = "from qbdst import cli\nassert cli.main(sys.argv[1:]) == 0"
 
 
-def test_cli_import_loads_neither_multiprocessing_nor_numpy():
-    # Every CLI start and every benchmark set-up pays for what
-    # `import qbdst.cli` loads.  Only `bench --jobs` needs multiprocessing
-    # and only the subset DP needs numpy, so each imports it when it runs.
-    script = (
-        "import sys\n"
-        "import qbdst.cli\n"
-        "print(sorted({'multiprocessing', 'numpy'} & sys.modules.keys()))\n"
-    )
+def _watched_after(statement: str, *argv: str) -> set:
+    """Of the modules loaded in a fresh interpreter after `statement`, the
+    package's own, numpy, multiprocessing and hashlib."""
+    script = f"import sys\n{statement}\nprint(sorted(sys.modules), file=sys.stderr)\n"
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env()
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    loaded = ast.literal_eval(result.stderr.splitlines()[-1])
+    return {m for m in loaded if m.split(".")[0] == "qbdst" or m in WATCHED}
+
+
+@pytest.mark.parametrize(
+    "statement, argv, loaded",
+    [
+        ("import qbdst", [], {"qbdst"}),
+        ("import qbdst.cli", [], CLI_LOADS),
+        (RUN_MAIN, ["gen", "badexample", "--k", "3", "--eps", "1/100"], CLI_LOADS | {"qbdst.gen"}),
+        (RUN_MAIN, ["oracle", "{inst}"], CLI_LOADS | ORACLE_LOADS),
+        (RUN_MAIN, ["solve", "{inst}"], SOLVE_LOADS),
+        (RUN_MAIN, ["solve", "{inst}", "--audit"], SOLVE_LOADS),
+        (RUN_MAIN, ["solve", "{inst}", "--oracle"], SOLVE_LOADS | ORACLE_LOADS),
+        (RUN_MAIN, ["audit", "{inst}", "--trace", "{trace}"], SOLVE_LOADS),
+        (RUN_MAIN, ["bench", "{bench}", "--jobs", "1"], SOLVE_LOADS | ORACLE_LOADS),
+    ],
+    ids=[
+        "import_qbdst",
+        "import_cli",
+        "gen",
+        "oracle",
+        "solve",
+        "solve_audit",
+        "solve_oracle",
+        "audit",
+        "bench",
+    ],
+)
+def test_each_start_loads_only_its_modules(tmp_path, capsys, statement, argv, loaded):
+    # Every CLI start and every benchmark set-up pays for what it imports,
+    # so each command imports only the modules it runs: the solver and the
+    # audit run without numpy, only `bench --jobs` needs multiprocessing,
+    # and only the audit and a solve hash an instance.
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    inst = bench / "four.txt"
+    inst.write_text(FOUR_NODE, encoding="utf-8")
+    trace = tmp_path / "t.jsonl"
+    assert cli.main(["solve", str(inst), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    if "numpy" in loaded:
+        # What numpy loads itself (older numpy imports hashlib) is numpy's.
+        loaded = loaded | _watched_after("import numpy")
+    argv = [arg.format(inst=inst, trace=trace, bench=bench) for arg in argv]
+    assert _watched_after(statement, *argv) == loaded
