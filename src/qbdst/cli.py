@@ -85,6 +85,8 @@ def cmd_solve(args) -> int:
     from . import audit as audit_mod, engine
 
     if args.oracle:
+        import numpy  # noqa: F401  (exact_opt_dp imports it when called)
+
         from . import oracle
 
     started = time.perf_counter()

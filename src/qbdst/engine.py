@@ -42,10 +42,13 @@ root over the kept arcs without it, which stops as soon as it reaches v:
 a root path through u->v can then take the other path to v instead.
 
 Trace files cost what they hold.  `write_trace` formats each iteration
-line itself, the record's epsilon once and as every payment's amount,
-and `read_trace` rejects an amount that is not its record's epsilon
-text and makes one `Payment` per distinct payment row, so a run of kept
-rows is written and read back without a `json.dumps` or a `Fraction` per
+line itself, the record's epsilon once and as every payment's amount.
+It formats each distinct payment row once per call, up to the amount,
+and joins a record's rows, each closed by the amount, and its moat names
+with `str.join`, so a kept row costs one dict lookup.  `read_trace`
+rejects an amount that is not its record's epsilon text and makes one
+`Payment` per distinct payment row, so a run of kept rows is written and
+read back without a `json.dumps`, an f-string or a `Fraction` per
 payment.
 """
 
@@ -483,6 +486,20 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+class _Rows(dict):
+    """`write_trace`'s memo: each payment's row up to its amount's opening
+    quote, formatted the first time the payment is written.  The amount is
+    not part of it, so a row kept under another epsilon is still right."""
+
+    def __init__(self, name, text) -> None:
+        super().__init__()
+        self.name, self.text = name, text
+
+    def __missing__(self, p: Payment) -> str:
+        row = self[p] = f'[{p.arc}, {self.text(p.kind)}, "{self.name(p.moat)}", "'
+        return row
+
+
 def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     """JSON Lines: a header record, then one record per iteration with all
     rationals as exact p/q strings and moats as names.
@@ -491,8 +508,10 @@ def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     `json.dumps(row, sort_keys=True)` gives; only kinds and labels can need
     escaping, since moat names and p/q strings hold digits, signs, commas
     and slashes.  Every payment's amount is its record's epsilon text."""
-    name = cache(_moat_name)  # one memo per call, so it dies with the write
+    # One memo of each per call, so they die with the write.
+    name = cache(_moat_name)
     text = cache(json.dumps)  # kinds and labels
+    rows = _Rows(name, text)
     header = {
         "record": "header",
         "mode": trace.mode,
@@ -504,10 +523,12 @@ def write_trace(trace: GrowthTrace, out: IO[str]) -> None:
     out.write(json.dumps(header, sort_keys=True) + "\n")
     for rec in trace.iterations:
         epsilon_text = _frac_str(rec.epsilon)
-        moats = ", ".join(f'"{name(vertices)}"' for vertices in rec.moats)
-        payments = ", ".join(
-            f'[{p.arc}, {text(p.kind)}, "{name(p.moat)}", "{epsilon_text}"]'
-            for p in rec.payments
+        moats = '"' + '", "'.join(map(name, rec.moats)) + '"' if rec.moats else ""
+        close = f'{epsilon_text}"]'  # ends every payment row: its amount
+        payments = (
+            (close + ", ").join(map(rows.__getitem__, rec.payments)) + close
+            if rec.payments
+            else ""
         )
         kills = ", ".join(map(str, rec.kills))
         arc, label = rec.purchased

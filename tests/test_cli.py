@@ -857,3 +857,28 @@ def test_each_start_loads_only_its_modules(tmp_path, capsys, statement, argv, lo
         loaded = loaded | _watched_after("import numpy")
     argv = [arg.format(inst=inst, trace=trace, bench=bench) for arg in argv]
     assert _watched_after(statement, *argv) == loaded
+
+
+def test_solve_oracle_loads_numpy_before_the_clock(four_node_file):
+    # wall_time_s times the run, not the imports: under --oracle, numpy,
+    # which exact_opt_dp imports when called, is loaded before cmd_solve
+    # first reads the clock.
+    script = (
+        "import sys, time\n"
+        "from qbdst import cli\n"
+        "clock, numpy_loaded = time.perf_counter, []\n"
+        "def perf_counter():\n"
+        "    numpy_loaded.append('numpy' in sys.modules)\n"
+        "    return clock()\n"
+        "time.perf_counter = perf_counter\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(numpy_loaded, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, "solve", str(four_node_file), "--oracle"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert ast.literal_eval(result.stderr.splitlines()[-1]) == [True, True]

@@ -408,6 +408,18 @@ def test_direct_writer_escapes_like_json_dumps():
         row["purchase"][1] = odd[i % len(odd)]
         for j, payment in enumerate(row["payments"]):
             payment[1] = odd[(i + j) % len(odd)]
+    # Empty moat and payment lists, which grow never writes, and payments
+    # that recur under another epsilon: a copy of a record at epsilon 0 just
+    # before it, so the writer meets each of its payments first at 0/1.
+    rows[1]["moats"] = []
+    rows[1]["payments"] = []
+    i = next(i for i, row in enumerate(rows[2:], 2) if row["epsilon"] != "0/1")
+    assert rows[i]["payments"]
+    zero = json.loads(json.dumps(rows[i]))
+    zero["epsilon"] = "0/1"
+    for payment in zero["payments"]:
+        payment[3] = "0/1"
+    rows.insert(i, zero)
     assert len(rows) > 4
     text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     loaded = read_trace(io.StringIO(text))
