@@ -15,8 +15,8 @@ reverse-deleted solution, the one it certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import FAMILY_MINOR_FREE, FAMILY_PLANAR_BIPARTITE, Instance, _fmt
 from .engine import MODE_BUCKETED, GrowthTrace, Solution, grow, reverse_delete
@@ -29,8 +29,10 @@ from .moats import active_moats, classify_arc  # noqa: F401
 PLANAR_RATIO_BOUND = Fraction(20)
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
+    """What `ratio_report` or `run_full` found; `ratio_report` leaves the
+    certificate checks at their defaults."""
+
     payments_consistent: bool = True
     cost_identity_ok: bool = True
     dual_feasible_ok: bool = True
@@ -38,7 +40,7 @@ class AuditReport:
     alpha_max: Fraction | None = None
     ratio_vs_lb: Fraction | None = None
     ratio_vs_opt: Fraction | None = None
-    breaches: list[str] = field(default_factory=list)
+    breaches: tuple[str, ...] = ()
     # First (iteration, field) where the regrown run differs from the
     # recorded one; iteration is None for a header field and for SOLUTION.
     divergence: tuple[int | None, str] | None = None
@@ -227,23 +229,24 @@ def ratio_report(
     inst: Instance, sol: Solution, opt: Fraction | None = None
 ) -> AuditReport:
     """Solution-quality ratios plus family-specific breach flags."""
-    report = AuditReport()
-    if sol.lower_bound:
-        report.ratio_vs_lb = sol.total_cost / sol.lower_bound
-    if opt is not None and opt:
-        report.ratio_vs_opt = sol.total_cost / opt
-    if report.ratio_vs_lb is not None:
-        if inst.family == FAMILY_PLANAR_BIPARTITE and report.ratio_vs_lb > PLANAR_RATIO_BOUND:
-            report.breaches.append(
-                f"ratio_vs_lb {report.ratio_vs_lb} exceeds {PLANAR_RATIO_BOUND} (planar_bipartite)"
+    ratio_vs_lb = sol.total_cost / sol.lower_bound if sol.lower_bound else None
+    breaches = []
+    if ratio_vs_lb is not None:
+        if inst.family == FAMILY_PLANAR_BIPARTITE and ratio_vs_lb > PLANAR_RATIO_BOUND:
+            breaches.append(
+                f"ratio_vs_lb {ratio_vs_lb} exceeds {PLANAR_RATIO_BOUND} (planar_bipartite)"
             )
         if inst.family == FAMILY_MINOR_FREE and inst.minor_r is not None:
-            if exceeds_minor_free_bound(report.ratio_vs_lb, inst.minor_r):
+            if exceeds_minor_free_bound(ratio_vs_lb, inst.minor_r):
                 bound = minor_free_ratio_bound(inst.minor_r)
-                report.breaches.append(
-                    f"ratio_vs_lb {report.ratio_vs_lb} exceeds {bound:.3f} (minor_free {inst.minor_r})"
+                breaches.append(
+                    f"ratio_vs_lb {ratio_vs_lb} exceeds {bound:.3f} (minor_free {inst.minor_r})"
                 )
-    return report
+    return AuditReport(
+        ratio_vs_lb=ratio_vs_lb,
+        ratio_vs_opt=sol.total_cost / opt if opt else None,
+        breaches=tuple(breaches),
+    )
 
 
 HEADER_FIELDS = ("instance_hash", "node_count", "root", "terminals")
@@ -286,15 +289,21 @@ def run_full(
     The ratios and certificate checks run on the regrown run."""
     regrown = grow(inst, trace.mode)
     certified = reverse_delete(inst, regrown)
-    report = ratio_report(inst, certified, opt)
-    report.solution = certified
-    report.divergence = _first_divergence(trace, regrown)
-    if report.divergence is None and sol is not None and sol != certified:
-        report.divergence = (None, SOLUTION)
-    report.payments_consistent = report.divergence is None
-
-    report.cost_identity_ok = verify_cost_identity(regrown, certified)
-    _, report.dual_feasible_ok = verify_dual_feasibility(inst, regrown.duals)
+    ratios = ratio_report(inst, certified, opt)
+    divergence = _first_divergence(trace, regrown)
+    if divergence is None and sol is not None and sol != certified:
+        divergence = (None, SOLUTION)
+    cost_identity_ok = verify_cost_identity(regrown, certified)
+    _, dual_feasible_ok = verify_dual_feasibility(inst, regrown.duals)
+    lemmas_ok = alpha_max = None
     if regrown.mode == MODE_BUCKETED:
-        report.lemmas_ok, report.alpha_max = verify_counting_lemmas(regrown, certified)
-    return report
+        lemmas_ok, alpha_max = verify_counting_lemmas(regrown, certified)
+    return ratios._replace(
+        payments_consistent=divergence is None,
+        cost_identity_ok=cost_identity_ok,
+        dual_feasible_ok=dual_feasible_ok,
+        lemmas_ok=lemmas_ok,
+        alpha_max=alpha_max,
+        divergence=divergence,
+        solution=certified,
+    )

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from typing import IO, Iterable, NamedTuple
@@ -117,8 +116,7 @@ class Payment(NamedTuple):
     moat: frozenset[int]  # the paying moat's vertices
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     index: int
     epsilon: Fraction
     moats: tuple[frozenset[int], ...]  # the active moats, in `active_moats` order
@@ -127,16 +125,17 @@ class IterationRecord:
     kills: tuple[int, ...]
 
 
-@dataclass
-class GrowthTrace:
-    """Ordered iteration log of one growth phase plus the dual solution."""
+class GrowthTrace(NamedTuple):
+    """Ordered iteration log of one growth phase plus the dual solution.
+    `iterations` is the one mutable field: growth and `read_trace` append
+    to it."""
 
     mode: str
     instance_hash: str
     node_count: int
     root: int
     terminals: frozenset[int]
-    iterations: list[IterationRecord] = field(default_factory=list)
+    iterations: list[IterationRecord]
 
     @property
     def duals(self) -> dict[frozenset[int], Fraction]:
@@ -159,8 +158,7 @@ class GrowthTrace:
         return sum(self.duals.values(), Fraction(0))
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     """Pruned arc set with purchase-order, labels, and the dual bound."""
 
     final_arcs: tuple[int, ...]
@@ -331,6 +329,7 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         node_count=inst.node_count,
         root=inst.root,
         terminals=inst.terminals,
+        iterations=[],
     )
     purchased = ArcGraph(inst)  # F, kept for the whole run
     fills: dict[tuple[int, str], Fraction] = {}  # (arc, kind) -> paid so far
@@ -624,6 +623,7 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         node_count=header.get("nodes", _int, "an integer"),
         root=header.get("root", _int, "an integer"),
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
+        iterations=[],
     )
     rational = _memoized(lambda text: parse_rational(text, "rational"))
     name = _memoized(_moat_vertices)

@@ -6,7 +6,6 @@ connected-vertex-cover reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import (
@@ -17,28 +16,31 @@ from .instance import (
     InputError,
     Instance,
     ParseError,
+    _Frozen,
 )
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
+class UndirectedGraph(_Frozen):
     """Simple undirected graph; edges are stored as sorted pairs."""
 
+    __slots__ = ("node_count", "edges")
     node_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, node_count: int, edges: tuple[tuple[int, int], ...]) -> None:
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop at {u}")
-            if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
+            if not (1 <= u <= node_count and 1 <= v <= node_count):
                 raise InputError(f"edge ({u},{v}) out of range")
             if u > v:
                 raise InputError(f"edge ({u},{v}) not normalized (u<v required)")
             if (u, v) in seen:
                 raise InputError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "edges", edges)
 
     def is_connected(self) -> bool:
         if self.node_count == 0:

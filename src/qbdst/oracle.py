@@ -30,9 +30,9 @@ are more, and memory beyond the table does not grow with the 3^k splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .instance import InputError, Instance, OracleGuardError
 
@@ -46,8 +46,7 @@ class InfeasibleInstanceError(InputError):
     """Some terminal cannot be reached from the root at all."""
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     opt_cost: Fraction
     opt_arcs: frozenset[int]
     method: str
@@ -68,12 +67,13 @@ def _touched(inst: Instance) -> Instance:
     for arc in inst.arcs:
         ends.update((arc.tail, arc.head))
     number = {v: i for i, v in enumerate(sorted(ends), 1)}
-    return replace(
-        inst,
+    return Instance(
         node_count=len(number),
         root=number[inst.root],
         terminals=frozenset(number[t] for t in inst.terminals),
         arcs=tuple(arc._replace(tail=number[arc.tail], head=number[arc.head]) for arc in inst.arcs),
+        family=inst.family,
+        minor_r=inst.minor_r,
     )
 
 

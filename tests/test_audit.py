@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from conftest import (
     acceptance_corpus,
     counting_lemmas_reference,
     random_valid_instance,
+    replaced,
 )
 
 EPS = Fraction(1, 100)
@@ -188,7 +188,7 @@ def test_cost_identity_fails_without_one_final_payment():
     )
     rec = trace.iterations[index]
     payments = rec.payments[:pos] + rec.payments[pos + 1 :]
-    trace.iterations[index] = replace(rec, payments=payments)
+    trace.iterations[index] = rec._replace(payments=payments)
     assert not verify_cost_identity(trace, sol)
 
 
@@ -235,8 +235,8 @@ def _tampered(trace, sol, bound):
         moats = (m0,)
         payments = [Payment(a, EXPANSION, m0) for a in expansions[:3]]
     iterations = list(trace.iterations)
-    iterations[rec.index] = replace(rec, moats=moats, payments=tuple(payments))
-    return rec.index, replace(trace, iterations=iterations)
+    iterations[rec.index] = rec._replace(moats=moats, payments=tuple(payments))
+    return rec.index, trace._replace(iterations=iterations)
 
 
 COUNTING_BOUNDS = ["antenna_per_moat", "antennas", "killers", "expansions"]
@@ -293,7 +293,7 @@ def test_ratio_report_four_node():
     report = ratio_report(inst, sol, opt=Fraction(4))
     assert report.ratio_vs_lb == 2
     assert report.ratio_vs_opt == 1
-    assert report.breaches == []
+    assert report.breaches == ()
 
 
 def test_ratio_report_single_arc():
@@ -342,10 +342,10 @@ def test_ratio_report_minor_free_breach_is_exact(r, offset):
     # A float cannot tell ratios 10^-30 apart at this size; the exact test
     # flags the ratio just above the bound and not the one just below.
     bound = _minor_free_bound_to_60_digits(r)
-    inst = replace(parse_instance(FOUR_NODE), family="minor_free", minor_r=r)
+    inst = replaced(parse_instance(FOUR_NODE), family="minor_free", minor_r=r)
     sol, _ = solve(inst)
     for ratio, breach in ((bound + offset, True), (bound - offset, False)):
-        fake = replace(sol, total_cost=ratio * sol.lower_bound)
+        fake = sol._replace(total_cost=ratio * sol.lower_bound)
         report = ratio_report(inst, fake)
         assert report.ratio_vs_lb == ratio
         assert bool(report.breaches) is breach
@@ -410,16 +410,16 @@ def test_audit_over_random_grid_runs():
 
 
 def _drop_kills(iterations):
-    iterations[0] = replace(iterations[0], kills=())
+    iterations[0] = iterations[0]._replace(kills=())
 
 
 def _swap_last_purchase(iterations):
-    iterations[-1] = replace(iterations[-1], purchased=(0, iterations[-1].purchased[1]))
+    iterations[-1] = iterations[-1]._replace(purchased=(0, iterations[-1].purchased[1]))
 
 
 def _flip_label(iterations):
     arc, _ = iterations[1].purchased
-    iterations[1] = replace(iterations[1], purchased=(arc, KILLER))
+    iterations[1] = iterations[1]._replace(purchased=(arc, KILLER))
 
 
 def _append_last(iterations):
@@ -458,7 +458,7 @@ def test_tampered_four_node_trace_names_divergence(tamper, index, name):
 def test_header_divergence_is_named():
     inst = parse_instance(FOUR_NODE)
     sol, trace = solve(inst)
-    trace.terminals = frozenset([2])
+    trace = trace._replace(terminals=frozenset([2]))
     report = run_full(inst, trace, sol)
     assert report.divergence == (None, "terminals")
     assert "divergence header terminals" in report.render()
@@ -478,7 +478,7 @@ def test_run_full_returns_the_certified_solution():
     assert run_full(inst, trace, sol).solution == sol
     assert run_full(inst, trace).solution == sol
     # A tampered epsilon changes the recorded duals, not the certified bound.
-    trace.iterations[0] = replace(trace.iterations[0], epsilon=Fraction(100))
+    trace.iterations[0] = trace.iterations[0]._replace(epsilon=Fraction(100))
     report = run_full(inst, trace, reverse_delete(inst, trace))
     assert report.divergence == (0, "epsilon")
     assert report.solution == sol
@@ -489,7 +489,7 @@ def test_run_full_returns_the_certified_solution():
 def test_claimed_solution_divergence_is_named():
     inst = parse_instance(FOUR_NODE)
     sol, trace = solve(inst)
-    claimed = replace(sol, final_arcs=sol.final_arcs[:-1])
+    claimed = sol._replace(final_arcs=sol.final_arcs[:-1])
     report = run_full(inst, trace, claimed)
     assert not report.all_ok
     assert not report.payments_consistent

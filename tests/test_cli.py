@@ -796,7 +796,7 @@ def test_audit_prints_the_certified_solution(tmp_path, capsys):
     assert "divergence iteration 0 epsilon" in out
 
 
-WATCHED = {"numpy", "multiprocessing", "hashlib"}
+WATCHED = {"numpy", "multiprocessing", "hashlib", "dataclasses", "inspect"}
 CLI_LOADS = {"qbdst", "qbdst.cli", "qbdst.instance"}
 SOLVE_LOADS = CLI_LOADS | {"qbdst.engine", "qbdst.moats", "qbdst.audit", "hashlib"}
 ORACLE_LOADS = {"qbdst.oracle", "numpy"}
@@ -805,7 +805,7 @@ RUN_MAIN = "from qbdst import cli\nassert cli.main(sys.argv[1:]) == 0"
 
 def _watched_after(statement: str, *argv: str) -> set:
     """Of the modules loaded in a fresh interpreter after `statement`, the
-    package's own, numpy, multiprocessing and hashlib."""
+    package's own and those of WATCHED."""
     script = f"import sys\n{statement}\nprint(sorted(sys.modules), file=sys.stderr)\n"
     result = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env()
@@ -844,7 +844,8 @@ def test_each_start_loads_only_its_modules(tmp_path, capsys, statement, argv, lo
     # Every CLI start and every benchmark set-up pays for what it imports,
     # so each command imports only the modules it runs: the solver and the
     # audit run without numpy, only `bench --jobs` needs multiprocessing,
-    # and only the audit and a solve hash an instance.
+    # only the audit and a solve hash an instance, and no start loads
+    # dataclasses or the inspect module it imports.
     bench = tmp_path / "bench"
     bench.mkdir()
     inst = bench / "four.txt"
@@ -853,7 +854,8 @@ def test_each_start_loads_only_its_modules(tmp_path, capsys, statement, argv, lo
     assert cli.main(["solve", str(inst), "--trace", str(trace)]) == 0
     capsys.readouterr()
     if "numpy" in loaded:
-        # What numpy loads itself (older numpy imports hashlib) is numpy's.
+        # What numpy loads itself (older numpy imports hashlib, numpy 2
+        # inspect) is numpy's.
         loaded = loaded | _watched_after("import numpy")
     argv = [arg.format(inst=inst, trace=trace, bench=bench) for arg in argv]
     assert _watched_after(statement, *argv) == loaded

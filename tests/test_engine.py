@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,6 +45,7 @@ from conftest import (
     random_connected_graph,
     random_qb_instance,
     random_valid_instance,
+    replaced,
     write_trace_reference,
 )
 
@@ -253,6 +253,7 @@ def _purchase_trace(inst, purchases, rng):
         node_count=inst.node_count,
         root=inst.root,
         terminals=inst.terminals,
+        iterations=[],
     )
     for index, arc_id in enumerate(purchases):
         trace.iterations.append(
@@ -601,7 +602,7 @@ def test_nodes_no_arc_touches_cost_nothing(monkeypatch):
 
     monkeypatch.setattr(moats_module, "_moat", counted)
     for inst in (parse_instance(SINGLE_ARC), parse_instance(FOUR_NODE), gen_bad_example(4, EPS)):
-        padded = replace(inst, node_count=inst.node_count + 10_000)
+        padded = replaced(inst, node_count=inst.node_count + 10_000)
         runs = []
         for case in (inst, padded):
             calls = 0

@@ -12,7 +12,7 @@ from qbdst.gen import (
     parse_undirected,
     reduce_cvc,
 )
-from qbdst.instance import serialize_instance, validate
+from qbdst.instance import InputError, serialize_instance, validate
 from qbdst.oracle import exact_opt_dp
 
 from conftest import brute_cvc, random_connected_graph
@@ -127,6 +127,24 @@ def test_parse_undirected():
     g = parse_undirected("NODES 3\nEDGE 1 2\nEDGE 3 2\nEND\n")
     assert g.node_count == 3
     assert g.edges == ((1, 2), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((1, 2), (3, 3)), r"^self-loop at 3$"),
+        (((1, 2), (2, 4)), r"^edge \(2,4\) out of range$"),
+        (((1, 2), (0, 3)), r"^edge \(0,3\) out of range$"),
+        (((1, 2), (3, 2)), r"^edge \(3,2\) not normalized \(u<v required\)$"),
+        (((1, 2), (2, 3), (1, 2)), r"^duplicate edge \(1,2\)$"),
+    ],
+    ids=["self_loop", "out_of_range", "zero_endpoint", "unsorted", "duplicate"],
+)
+def test_undirected_graph_rejects_bad_edges(edges, message):
+    # The keyword form of certbench/corpus.py; every check is an InputError,
+    # a one-line CLI error.
+    with pytest.raises(InputError, match=message):
+        UndirectedGraph(node_count=3, edges=edges)
 
 
 def test_reduce_single_edge():

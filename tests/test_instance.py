@@ -1,6 +1,6 @@
+import pickle
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +21,7 @@ from qbdst.instance import (
     validate,
 )
 
-from conftest import SINGLE_ARC, random_qb_instance, random_valid_instance
+from conftest import SINGLE_ARC, random_qb_instance, random_valid_instance, replaced
 
 
 def test_parse_minimal():
@@ -180,6 +180,10 @@ def test_serialize_parse_round_trip():
         inst = random_valid_instance(rng)
         again = parse_instance(serialize_instance(inst))
         assert again == inst
+        assert hash(again) == hash(inst)
+        assert pickle.loads(pickle.dumps(inst)) == inst
+        with pytest.raises(AttributeError):
+            again.root = inst.root
         # bit-exact arc order and costs
         assert again.arcs == inst.arcs
 
@@ -234,7 +238,7 @@ def test_parse_rejects_a_second_family_line(first, second):
 
 
 def _declared(family, minor_r):
-    return replace(parse_instance(SINGLE_ARC), family=family, minor_r=minor_r)
+    return replaced(parse_instance(SINGLE_ARC), family=family, minor_r=minor_r)
 
 
 def _assert_rejected(inst, message):

@@ -276,7 +276,9 @@ def _check_moats_after(inst, graph, moats, arc_id):
     after, holders, new, reach = result
     bought = frozenset(graph.ids)
     assert arc_id in bought
-    assert after == active_moats(inst, bought), (sorted(bought), arc_id)
+    scratch = active_moats(inst, bought)
+    assert after == scratch, (sorted(bought), arc_id)
+    assert set(after) == set(scratch)
     assert holders == [m for m in moats if v in m.vertices]
     assert ([] if new is None else [new]) == [m for m in after if v in m.vertices]
     assert reach == forward
