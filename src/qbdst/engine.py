@@ -12,10 +12,10 @@ scratch).  The purchased arcs F only grow, so one `instance.ArcGraph`
 keeps their adjacency for the whole run: each purchase is added to it
 once, and every F search (the reachability screen of `classify_arc`, the
 SCC of `moats_after` and the forward reach it shares with the payer map)
-walks only what it visits.  Because only arcs entering a moat are paid, the bucket fills of
-an arc always equal its dual load sum over entered sets, so the
-accumulated duals y satisfy load <= 2c per arc and y/2 certifies the
-lower bound.
+walks only what it visits.  Because only arcs entering a moat are paid,
+the bucket fills of an arc always equal its dual load sum over entered
+sets, so the accumulated duals y satisfy load <= 2c per arc and y/2
+certifies the lower bound.
 
 Each step's bookkeeping costs only what changed.  `grow` keeps the set
 of full buckets as they fill, so the epsilon-0 shortcut is a set lookup,
@@ -32,24 +32,25 @@ buckets, and the payments still name every paid bucket.  Growth is
 uniform: every active moat pays the iteration's epsilon into each bucket
 it pays, so a payment names only its arc, kind and moat, and its amount
 is its record's epsilon.  An iteration's payments then differ from the
-previous iteration's only in the re-derived buckets, so the map keeps
-each bucket's payment row, built when first needed and dropped with the
-bucket's payers, and every iteration joins the kept rows.  Reverse
-delete tests the whole purchase list once with `is_feasible`: an
-infeasible list keeps every purchase, since removing arcs never restores
-reachability.  Otherwise each purchase u->v costs one search from the
-root over the kept arcs without it, which stops as soon as it reaches v:
-a root path through u->v can then take the other path to v instead.
+previous iteration's only in the re-derived buckets, so the map holds
+each paid bucket's payments, made when the bucket is re-derived, and
+every iteration joins them.  Reverse delete tests the whole purchase
+list once with `is_feasible`: an infeasible list keeps every purchase,
+since removing arcs never restores reachability.  Otherwise each
+purchase u->v costs one search from the root over the kept arcs without
+it, which stops as soon as it reaches v: a root path through u->v can
+then take the other path to v instead.
 
 Trace files cost what they hold.  `write_trace` formats each iteration
 line itself, the record's epsilon once and as every payment's amount.
 It formats each distinct payment row once per call, up to the amount,
 and joins a record's rows, each closed by the amount, and its moat names
-with `str.join`, so a kept row costs one dict lookup.  `read_trace`
-rejects an amount that is not its record's epsilon text and makes one
-`Payment` per distinct payment row, so a run of kept rows is written and
-read back without a `json.dumps`, an f-string or a `Fraction` per
-payment.
+with `str.join`, so a row written before costs one dict lookup.
+`read_trace` rejects an amount that is not its record's epsilon text and
+makes one `Payment` per distinct payment row, so a run of repeated rows
+is written and read back without a `json.dumps`, an f-string or a
+`Fraction` per payment.  It parses one line at a time, so a read holds
+the file's lines, one parsed line and the records built so far.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ class Solution(NamedTuple):
 
 class _Payers:
     """Which moats pay which bucket, kept for the whole run: `paying` maps
-    each paid (arc, kind) bucket to its paying moats, and `rows` a paid
-    bucket to its payments, built when first needed.
+    each paid (arc, kind) bucket to its payments, one per paying moat, in
+    moat name order.
 
     Only arcs outside F whose head is in a moat and whose tail is not get
     paid; everything else (arcs into no moat, arcs internal to a moat,
@@ -188,8 +189,7 @@ class _Payers:
         self.purchased = purchased  # the graph of F, which the run grows
         self.bucketed = bucketed
         self.kinds = (ANTENNA, EXPANSION, KILLER) if bucketed else (MODE_STANDARD,)
-        self.paying: dict[tuple[int, str], list[Moat]] = {}
-        self.rows: dict[tuple[int, str], tuple[Payment, ...]] = {}
+        self.paying: dict[tuple[int, str], tuple[Payment, ...]] = {}
         self.name = cache(_moat_name)  # payer order only; each name made once per run
         self.at: dict[int, list[Moat]] = {}  # vertex -> the moats holding it
         # The unbought arcs by head and, when bucketed, the unbought
@@ -213,13 +213,9 @@ class _Payers:
         `classify_arc` roles when bucketed, else by every entered moat.  A
         bought arc is only dropped."""
         inst, bought, at, paying = self.inst, self.purchased.ids, self.at, self.paying
-        rows = self.rows
         for arc_id in arc_ids:
             for kind in self.kinds:
-                # Payer lists change only here, after this pop, so a kept
-                # row dropped with its bucket always matches its payers.
-                if paying.pop((arc_id, kind), None) is not None:
-                    rows.pop((arc_id, kind), None)
+                paying.pop((arc_id, kind), None)
             tail, head, _ = inst.arcs[arc_id]
             if head not in at or arc_id in bought:
                 continue
@@ -227,22 +223,16 @@ class _Payers:
                 roles = classify_arc(inst, self.purchased, at[head], arc_id)
             else:
                 roles = [(m, MODE_STANDARD) for m in at[head] if tail not in m.vertices]
+            by_role: dict[str, list[Moat]] = {}
             for moat, role in roles:
-                paying.setdefault((arc_id, role), []).append(moat)
-
-    def row(self, bucket: tuple[int, str]) -> tuple[Payment, ...]:
-        """The payments of one paid bucket, its payers in name order, kept
-        until its payers change."""
-        row = self.rows.get(bucket)
-        if row is None:
-            paying = self.paying[bucket]
-            if len(paying) > 1:
-                # Payers go in name order as text ("10,11" before "9,11"), not
-                # in vertex order: that is the order traces are written in.  A
-                # lone payer has no order, so it needs no name.
-                paying = sorted(paying, key=lambda m: self.name(m.vertices))
-            row = self.rows[bucket] = tuple(Payment(*bucket, m.vertices) for m in paying)
-        return row
+                by_role.setdefault(role, []).append(moat)
+            for role, moats in by_role.items():
+                if len(moats) > 1:
+                    # Payers go in name order as text ("10,11" before "9,11"),
+                    # not in vertex order: that is the order traces are written
+                    # in.  A lone payer has no order, so it needs no name.
+                    moats.sort(key=lambda m: self.name(m.vertices))
+                paying[(arc_id, role)] = tuple(Payment(arc_id, role, m.vertices) for m in moats)
 
     def bought(
         self, arc_id: int, holders: list[Moat], new: Moat | None, reach: set[int]
@@ -286,7 +276,7 @@ class _Payers:
 def _epsilon_from_payers(
     inst: Instance,
     fills: dict[tuple[int, str], Fraction],
-    payers: dict[tuple[int, str], list[Moat]],
+    payers: dict[tuple[int, str], tuple[Payment, ...]],
     full: set[tuple[int, str]],
 ) -> tuple[Fraction, list[tuple[int, str]]]:
     """Largest uniform growth that overfills no paid bucket, plus every
@@ -363,10 +353,9 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
                 added = epsilon if len(paying) == 1 else epsilon * len(paying)
                 fill = fills.get(bucket)
                 fills[bucket] = added if fill is None else fill + added
-        # Each bucket pays its kept row, built once per change of its payers.
         payments: list[Payment] = []
         for bucket in sorted(payers):
-            payments += payer_map.row(bucket)
+            payments += payers[bucket]
 
         buy = min(arc_id for arc_id, _ in tight)
         tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
@@ -390,8 +379,8 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
         else:
             # Expansion iff an entered moat survives, as in `classify_arc`;
             # every entered moat is a holder.
-            grows = not kept.isdisjoint(payers[(buy, MODE_STANDARD)])
-            label = EXPANSION if grows else KILLER
+            tail = inst.arcs[buy].tail
+            label = EXPANSION if any(tail not in m.vertices for m in kept) else KILLER
 
         trace.iterations.append(
             IterationRecord(
@@ -605,16 +594,17 @@ class _Record:
 def read_trace(src: IO[str]) -> GrowthTrace:
     """Parse a trace file, checking its schema: key presence, value types,
     arc ids >= 0, moat names, a known mode and payment amounts that are
-    their record's epsilon text.  Arc ids beyond the instance are the
+    their record's epsilon text.  Lines are checked in file order, so the
+    error names the first faulty line.  Arc ids beyond the instance are the
     caller's to reject, since the trace does not know the instance."""
-    records = [
+    records = (
         _Record(number, line)
         for number, line in enumerate(src.read().splitlines(), 1)
         if line.strip()
-    ]
-    if not records:
+    )
+    header = next(records, None)
+    if header is None:
         raise InputError("empty trace file")
-    header = records[0]
     if header.row.get("record") != "header":
         raise InputError("trace file must start with a header record")
     trace = GrowthTrace(
@@ -649,7 +639,7 @@ def read_trace(src: IO[str]) -> GrowthTrace:
             parsed.append(payment)
         return tuple(parsed)
 
-    for rec in records[1:]:
+    for rec in records:
         if rec.row.get("record") != "iteration":
             raise InputError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
         amount = rec.row.get("epsilon")  # every payment's; checked as epsilon first

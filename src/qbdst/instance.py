@@ -11,6 +11,7 @@ purchase tie-breaking order, so arc order is preserved everywhere.
 from __future__ import annotations
 
 import re
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -151,7 +152,14 @@ def _fmt(value, decimal: bool) -> str:
         return "n/a"
     text = str(value)
     if decimal and isinstance(value, Fraction) and value.denominator != 1:
-        text += f" (~{float(value):.6g})"
+        try:
+            approx = float(value)  # 0 when too small, OverflowError when too large
+        except OverflowError:
+            approx = 0.0
+        if not approx:  # beyond float range: a non-integer Fraction is never 0
+            digits = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+            approx = digits.divide(value.numerator, value.denominator).normalize(digits)
+        text += f" (~{approx:.6g})"
     return text
 
 

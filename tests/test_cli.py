@@ -332,6 +332,32 @@ def test_decimal_flag(single_arc_file):
     assert "lower_bound 5/2 (~2.5)" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "cost, approx",
+    [
+        # (10^400 + 1)/2 overflows a float, and 1/(3*10^400) underflows to 0.
+        ("1" + "0" * 399 + "1/2", "(~5e+399)"),
+        ("1/3" + "0" * 400, "(~3.33333e-401)"),
+    ],
+    ids=["beyond_float_max", "below_float_min"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--decimal"], ["solve", "--decimal", "--audit"], ["oracle", "--decimal"]],
+    ids=["solve", "solve_audit", "oracle"],
+)
+def test_decimal_beyond_float_range(tmp_path, cost, approx, argv):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"NODES 2\nROOT 1\nTERMINALS 2\nARC 1 2 {cost}\nEND\n", encoding="utf-8")
+    result = run_cli(argv[0], str(path), *argv[1:])
+    assert result.returncode == 0
+    cost_line = "opt " if argv[0] == "oracle" else "cost "
+    assert any(
+        line.startswith(cost_line) and line.endswith(approx) for line in result.stdout.splitlines()
+    ), result.stdout
+    assert all(line.startswith("wall_time_s ") for line in result.stderr.splitlines())
+
+
 def _write_run(tmp_path: Path, inst_text: str) -> tuple[Path, list[dict]]:
     inst_path = tmp_path / "inst.txt"
     inst_path.write_text(inst_text, encoding="utf-8")

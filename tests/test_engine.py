@@ -1023,3 +1023,14 @@ def test_read_trace_rejects_truncated_line():
     lines[2] = lines[2][:10]
     with pytest.raises(ValueError, match="trace line 3: not JSON"):
         read_trace(io.StringIO("\n".join(lines)))
+
+
+def test_read_trace_names_the_first_faulty_line():
+    # Lines are parsed one at a time in file order, so of two faults the
+    # earlier line's is reported, even when a later line is not JSON.
+    rows = _four_node_rows()
+    rows[1]["killed"] = rows[1].pop("kills")
+    lines = [json.dumps(row) for row in rows]
+    lines[3] = "not json"
+    with pytest.raises(ValueError, match="^trace line 2: missing key 'kills'$"):
+        read_trace(io.StringIO("\n".join(lines)))
