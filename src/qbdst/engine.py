@@ -539,20 +539,6 @@ def _typed(kind: type):
 _int, _str, _list = _typed(int), _typed(str), _typed(list)
 
 
-def _memoized(parse):
-    """`parse` for strings, run once per distinct string.  Make one per
-    trace read, so the memo dies with the read."""
-    memo: dict = {}
-
-    def cached(value):
-        found = memo.get(value)  # only strings are stored, so others miss
-        if found is None:
-            found = memo[value] = parse(_str(value))
-        return found
-
-    return cached
-
-
 def _mode(value) -> str:
     if value not in MODES:
         raise ValueError
@@ -615,8 +601,11 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
         iterations=[],
     )
-    rational = _memoized(lambda text: parse_rational(text, "rational"))
-    name = _memoized(_moat_vertices)
+    # Memos made per read, so they die with it.  `_str` raises before a
+    # non-string value is stored, and a list raises TypeError at the
+    # lookup, which `_Record.get` reports like any type error.
+    rational = cache(lambda value: parse_rational(_str(value), "rational"))
+    name = cache(lambda value: _moat_vertices(_str(value)))
     memo: dict[tuple[int, str, str], Payment] = {}  # one Payment per distinct row
 
     def payments(value, amount: str) -> tuple[Payment, ...]:

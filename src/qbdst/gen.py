@@ -17,6 +17,7 @@ from .instance import (
     Instance,
     ParseError,
     _Frozen,
+    _records,
 )
 
 
@@ -61,42 +62,28 @@ class UndirectedGraph(_Frozen):
 
 
 def parse_undirected(text: str) -> UndirectedGraph:
-    """Read `NODES <n>` / `EDGE <u> <v>` / `END` under the usual comment
-    and layout rules."""
+    """Read `NODES <n>` / `EDGE <u> <v>` / `END` under the layout rules of
+    the instance format (`instance._records`)."""
     node_count = None
     edges: list[tuple[int, int]] = []
-    ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise ParseError(f"line {lineno}: content after END")
-        fields = line.split()
-        keyword = fields[0].upper()
+    for lineno, keyword, args in _records(text, ("NODES", "EDGE")):
         if keyword == "NODES":
-            if node_count is not None or len(fields) != 2:
+            if node_count is not None or len(args) != 1:
                 raise ParseError(f"line {lineno}: bad NODES record")
             try:
-                node_count = int(fields[1])
+                node_count = int(args[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad NODES record") from None
         elif keyword == "EDGE":
-            if len(fields) != 3:
+            if len(args) != 2:
                 raise ParseError(f"line {lineno}: EDGE expects <u> <v>")
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = int(args[0]), int(args[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad edge endpoint") from None
             edges.append((min(u, v), max(u, v)))
-        elif keyword == "END":
-            ended = True
-        else:
-            raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
     if node_count is None:
         raise ParseError("missing NODES section")
-    if not ended:
-        raise ParseError("missing END marker")
     return UndirectedGraph(node_count=node_count, edges=tuple(sorted(set(edges))))
 
 

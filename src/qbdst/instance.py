@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 FAMILY_PLANAR_BIPARTITE = "planar_bipartite"
 FAMILY_MINOR_FREE = "minor_free"
@@ -163,10 +163,35 @@ def _fmt(value, decimal: bool) -> str:
     return text
 
 
+def _records(text: str, keywords: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
+    """The records of a keyword file before its END line, each as (line
+    number, keyword in upper case, the fields after it): the layout rules
+    of the instance format and of `gen.parse_undirected`'s edge lists.
+    '#' starts a comment, blank lines are skipped and keywords match in any
+    case.  A keyword outside `keywords`, content on or after the END line,
+    and a file with no END line are ParseErrors naming the line."""
+    ended = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        keyword = fields[0].upper()
+        if ended or keyword == "END" and len(fields) > 1:
+            raise ParseError(f"line {lineno}: content after END")
+        if keyword == "END":
+            ended = True
+        elif keyword in keywords:
+            yield lineno, keyword, fields[1:]
+        else:
+            raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
+    if not ended:
+        raise ParseError("missing END marker")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance file format.
 
-    Format (one record per line, '#' starts a comment)::
+    Format (one record per line, under the layout rules of `_records`)::
 
         NODES <n>                      nodes are 1..n
         ROOT <id>
@@ -185,19 +210,11 @@ def parse_instance(text: str) -> Instance:
     family: str | None = None
     minor_r: int | None = None
     arcs: list[Arc] = []
-    ended = False
 
     def err(lineno: int, msg: str) -> ParseError:
         return ParseError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise err(lineno, "content after END")
-        fields = line.split()
-        keyword, args = fields[0].upper(), fields[1:]
+    for lineno, keyword, args in _records(text, ("NODES", "ROOT", "TERMINALS", "FAMILY", "ARC")):
         if keyword == "NODES":
             if node_count is not None:
                 raise err(lineno, "duplicate NODES section")
@@ -229,7 +246,8 @@ def parse_instance(text: str) -> Instance:
             if not args:
                 raise err(lineno, "FAMILY expects a tag")
             family, params = args[0], args[1:]
-            if len(params) == 1:
+            # r is the one parameter, or minor_free's first of several.
+            if len(params) == 1 or params and family == FAMILY_MINOR_FREE:
                 try:
                     minor_r = int(params[0])
                 except ValueError:
@@ -255,10 +273,6 @@ def parse_instance(text: str) -> Instance:
             if cost < 0:
                 raise err(lineno, f"negative cost {args[2]}")
             arcs.append(Arc(tail, head, cost))
-        elif keyword == "END":
-            ended = True
-        else:
-            raise err(lineno, f"unknown record {fields[0]!r}")
 
     if node_count is None:
         raise ParseError("missing NODES section")
@@ -266,8 +280,6 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("missing ROOT section")
     if not saw_terminals:
         raise ParseError("missing TERMINALS section")
-    if not ended:
-        raise ParseError("missing END marker")
     if not 1 <= root <= node_count:
         raise ParseError(f"root {root} out of range 1..{node_count}")
     for t in sorted(terminals):

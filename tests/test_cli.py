@@ -672,6 +672,24 @@ def test_second_family_line_is_one_error_line(tmp_path):
     assert result.stderr == f"error: {path}: line 5: duplicate FAMILY section\n"
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("solve", "NODES 2\nROOT 1\nTERMINALS 2\nEND ARC 1 2 3\n", "line 4: content after END"),
+        ("gen reduce", "NODES 2\nEND EDGE 1 2\n", "line 2: content after END"),
+    ],
+    ids=["solve", "gen_reduce"],
+)
+def test_fields_on_the_end_line_are_one_error_line(tmp_path, capsys, command, text, message):
+    # Fields on the END line are an error, never silently dropped.
+    path = tmp_path / "end.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([*command.split(), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_unwritable_trace_leaves_stdout_empty(tmp_path, capsys, four_node_file):
     out = tmp_path / "no_such_dir" / "t.jsonl"
     assert cli.main(["solve", str(four_node_file), "--audit", "--trace", str(out)]) == 1

@@ -1017,6 +1017,28 @@ def test_read_trace_rejects_schema_errors(tamper, message):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "key, wrap, message",
+    [
+        ("epsilon", lambda text: [text], "epsilon must be an exact rational string"),
+        ("epsilon", lambda text: 1, "epsilon must be an exact rational string"),
+        ("moats", lambda names: [[names[0]]], "moats must be a list of moat names like 2,3"),
+        ("moats", lambda names: [2], "moats must be a list of moat names like 2,3"),
+    ],
+    ids=["epsilon_list", "epsilon_number", "moat_name_list", "moat_name_number"],
+)
+def test_read_trace_memos_take_only_strings(key, wrap, message):
+    # read_trace parses each distinct epsilon and moat name once per read.
+    # Line 2 has filled those memos with strings; on line 4 a list (which
+    # no memo can hash) or a number is a schema error, not a memo hit.
+    rows = _four_node_rows()
+    rows[3][key] = wrap(rows[1][key])
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    with pytest.raises(ValueError) as info:
+        read_trace(io.StringIO(text))
+    assert str(info.value) == f"trace line 4: {message}"
+
+
 def test_read_trace_rejects_truncated_line():
     rows = _four_node_rows()
     lines = [json.dumps(row) for row in rows]

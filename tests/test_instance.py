@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qbdst.engine import solve
+from qbdst.gen import parse_undirected
 from qbdst.instance import (
     Arc,
     ArcGraph,
@@ -98,6 +99,55 @@ def test_parse_comments_and_repeated_terminal_lines():
         "ARC 1 2 1\nARC 1 3 1\nEND\n"
     )
     assert inst.terminals == frozenset([2, 3])
+
+
+# A minimal file of each keyword format, as its records without END.
+KEYWORD_FORMATS = {
+    "instance": (parse_instance, ["NODES 2", "ROOT 1", "TERMINALS 2", "ARC 1 2 1"]),
+    "graph": (parse_undirected, ["NODES 2", "EDGE 1 2"]),
+}
+
+
+def _lines(records):
+    return "".join(f"{record}\n" for record in records)
+
+
+@pytest.mark.parametrize("file_format", sorted(KEYWORD_FORMATS))
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        (lambda rs: "# head\n\n" + _lines(f" {r}  # note\n\t" for r in rs) + "END\n# tail\n", None),
+        (lambda rs: _lines(r.lower() for r in rs) + "eNd\n", None),
+        (lambda rs: _lines(rs) + "END\n" + rs[-1] + "\n", "line {last}: content after END"),
+        (lambda rs: _lines(rs) + "END " + rs[-1] + "\n", "line {last}: content after END"),
+        (lambda rs: _lines(rs), "missing END marker"),
+        # The layout is checked before the sections.
+        (lambda rs: _lines(rs[1:]), "missing END marker"),
+        (lambda rs: _lines(rs[1:]) + "END\n", "missing NODES section"),
+        (lambda rs: "Bogus 1\n" + _lines(rs) + "END\n", "line 1: unknown record 'Bogus'"),
+    ],
+    ids=[
+        "comments_blank_lines",
+        "lower_case_keywords",
+        "content_after_end",
+        "fields_on_end_line",
+        "missing_end",
+        "missing_end_and_nodes",
+        "missing_nodes",
+        "unknown_record",
+    ],
+)
+def test_keyword_formats_share_the_layout_rules(file_format, layout, message):
+    # Instance files and gen's edge lists are read by one record reader, so
+    # the same layout reads, or fails, the same way in both.
+    parse, records = KEYWORD_FORMATS[file_format]
+    text = layout(records)
+    if message is None:
+        assert parse(text) == parse(_lines(records) + "END\n")
+        return
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message.format(last=len(text.splitlines()))
 
 
 def test_normalize_parallel_keeps_cheapest():
@@ -213,6 +263,8 @@ def test_minor_free_rejects_r_below_two(r):
         ("planar_bipartite x", "FAMILY planar_bipartite: stray parameter 'x'"),
         ("unknown 5 6", "FAMILY unknown: stray parameter '6'"),
         ("planar_bipartite ³", "FAMILY planar_bipartite: stray parameter '³'"),
+        ("minor_free 5 6", "FAMILY minor_free: stray parameter '6'"),
+        ("minor_free 5 x", "FAMILY minor_free: stray parameter 'x'"),
     ],
 )
 def test_parse_family_errors(family, message):
