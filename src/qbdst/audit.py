@@ -3,11 +3,12 @@ moat duals, the exact cost identity, and the per-iteration counting
 bounds on antenna/killer/expansion arcs.
 
 `run_full` trusts nothing recorded: it regrows the run from the instance
-with the engine's own loop (`engine.grow`) and compares the regrown trace
-with the recorded one field by field, naming the first divergence.  The
-three `verify_*` checks are plain arithmetic over what they are given:
-the cost identity and the counting lemmas over a trace's payments and a
-solution's labels, dual feasibility over a vertex set -> y mapping.
+with the engine's own step generator (`engine.steps`, collected by
+`engine.grow`) and compares the regrown trace with the recorded one field
+by field, naming the first divergence.  The three `verify_*` checks are
+plain arithmetic over what they are given: the cost identity and the
+counting lemmas over a trace's payments and a solution's labels, dual
+feasibility over a vertex set -> y mapping.
 `run_full` gives them the regrown trace, its duals and its
 reverse-deleted solution, the one it certifies.
 """

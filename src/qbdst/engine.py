@@ -17,7 +17,14 @@ the bucket fills of an arc always equal its dual load sum over entered
 sets, so the accumulated duals y satisfy load <= 2c per arc and y/2
 certifies the lower bound.
 
-Each step's bookkeeping costs only what changed.  `grow` keeps the set
+The loop is written once, as the generator `steps`: it yields each
+iteration's record as soon as the iteration is made, so a caller can
+stop at any iteration.  `grow` collects every record into a
+`GrowthTrace`, and the audit regrows a recorded run with it.  Every
+record is a plain value: a trace's iterations are a tuple, built once
+by `grow` and by `read_trace`, and nothing appends to a trace.
+
+Each step's bookkeeping costs only what changed.  `steps` keeps the set
 of full buckets as they fill, so the epsilon-0 shortcut is a set lookup,
 and tests only the moats that hold the bought arc's head for kills.  It
 keeps the payer map, which moats pay which bucket, for the whole run
@@ -50,7 +57,8 @@ with `str.join`, so a row written before costs one dict lookup.
 makes one `Payment` per distinct payment row, so a run of repeated rows
 is written and read back without a `json.dumps`, an f-string or a
 `Fraction` per payment.  It parses one line at a time, so a read holds
-the file's lines, one parsed line and the records built so far.
+the file's lines, one parsed line and the records built so far, which
+become the trace's tuple at the end.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ import json
 from collections import defaultdict
 from functools import cache
 from fractions import Fraction
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .instance import (
     ArcGraph,
@@ -94,7 +102,7 @@ class EngineError(RuntimeError):
 
 def _moat_name(vertices: frozenset[int]) -> str:
     """A moat's name in trace files: its node ids, ascending, joined by
-    commas.  Only `write_trace` and `grow`'s payer order make names."""
+    commas.  Only `write_trace` and the payer order of `steps` make names."""
     return ",".join(map(str, sorted(vertices)))
 
 
@@ -127,16 +135,15 @@ class IterationRecord(NamedTuple):
 
 
 class GrowthTrace(NamedTuple):
-    """Ordered iteration log of one growth phase plus the dual solution.
-    `iterations` is the one mutable field: growth and `read_trace` append
-    to it."""
+    """Ordered iteration log of one growth phase plus the dual solution: a
+    plain value like every record, built once from all its iterations."""
 
     mode: str
     instance_hash: str
     node_count: int
     root: int
     terminals: frozenset[int]
-    iterations: list[IterationRecord]
+    iterations: tuple[IterationRecord, ...]
 
     @property
     def duals(self) -> dict[frozenset[int], Fraction]:
@@ -304,23 +311,16 @@ def _epsilon_from_payers(
     return epsilon, tight
 
 
-def grow(inst: Instance, mode: str) -> GrowthTrace:
-    """The growth phase in one mode: classify, pay, buy one tight arc per
-    iteration, until no active moats remain.  `bucketed` keeps antenna,
-    expansion and killer buckets; `standard` keeps one bucket per arc.
-    The audit regrows a recorded run with this same loop."""
+def steps(inst: Instance, mode: str) -> Iterator[IterationRecord]:
+    """The growth phase in one mode, one iteration at a time: classify,
+    pay, buy one tight arc, and yield the iteration's record as soon as it
+    is made, until no active moats remain.  `bucketed` keeps antenna,
+    expansion and killer buckets; `standard` keeps one bucket per arc.  An
+    unknown mode or an invalid instance raises at the first `next`."""
     if mode not in MODES:
         raise ValueError(f"unknown growth mode {mode!r}")
     bucketed = mode == MODE_BUCKETED
     require_valid(inst)
-    trace = GrowthTrace(
-        mode=mode,
-        instance_hash=instance_hash(inst),
-        node_count=inst.node_count,
-        root=inst.root,
-        terminals=inst.terminals,
-        iterations=[],
-    )
     purchased = ArcGraph(inst)  # F, kept for the whole run
     fills: dict[tuple[int, str], Fraction] = {}  # (arc, kind) -> paid so far
     alive = set(inst.terminals)
@@ -382,20 +382,30 @@ def grow(inst: Instance, mode: str) -> GrowthTrace:
             tail = inst.arcs[buy].tail
             label = EXPANSION if any(tail not in m.vertices for m in kept) else KILLER
 
-        trace.iterations.append(
-            IterationRecord(
-                index=index,
-                epsilon=epsilon,
-                moats=tuple(m.vertices for m in moats),
-                payments=tuple(payments),
-                purchased=(buy, label),
-                kills=tuple(kills),
-            )
+        yield IterationRecord(
+            index=index,
+            epsilon=epsilon,
+            moats=tuple(m.vertices for m in moats),
+            payments=tuple(payments),
+            purchased=(buy, label),
+            kills=tuple(kills),
         )
         payer_map.bought(buy, holders, new, reach)
         moats = new_moats
         index += 1
-    return trace
+
+
+def grow(inst: Instance, mode: str) -> GrowthTrace:
+    """The whole growth phase in one mode: `steps` collected into a trace."""
+    iterations = tuple(steps(inst, mode))
+    return GrowthTrace(
+        mode=mode,
+        instance_hash=instance_hash(inst),
+        node_count=inst.node_count,
+        root=inst.root,
+        terminals=inst.terminals,
+        iterations=iterations,
+    )
 
 
 def _feasible_without(
@@ -593,13 +603,12 @@ def read_trace(src: IO[str]) -> GrowthTrace:
         raise InputError("empty trace file")
     if header.row.get("record") != "header":
         raise InputError("trace file must start with a header record")
-    trace = GrowthTrace(
-        mode=header.get("mode", _mode, " or ".join(MODES)),
-        instance_hash=header.get("instance", _str, "a string"),
-        node_count=header.get("nodes", _int, "an integer"),
-        root=header.get("root", _int, "an integer"),
-        terminals=frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
-        iterations=[],
+    fields = (
+        header.get("mode", _mode, " or ".join(MODES)),
+        header.get("instance", _str, "a string"),
+        header.get("nodes", _int, "an integer"),
+        header.get("root", _int, "an integer"),
+        frozenset(header.get("terminals", _list_of(_int), "a list of integers")),
     )
     # Memos made per read, so they die with it.  `_str` raises before a
     # non-string value is stored, and a list raises TypeError at the
@@ -628,22 +637,21 @@ def read_trace(src: IO[str]) -> GrowthTrace:
             parsed.append(payment)
         return tuple(parsed)
 
-    for rec in records:
+    def iteration(rec: _Record) -> IterationRecord:
         if rec.row.get("record") != "iteration":
             raise InputError(f"{rec.where}: unexpected record {rec.row.get('record')!r}")
         amount = rec.row.get("epsilon")  # every payment's; checked as epsilon first
-        trace.iterations.append(
-            IterationRecord(
-                index=rec.get("l", _int, "an integer"),
-                epsilon=rec.get("epsilon", rational, "an exact rational string"),
-                moats=rec.get("moats", _list_of(name), "a list of moat names like 2,3"),
-                payments=rec.get(
-                    "payments",
-                    lambda value: payments(value, amount),
-                    "a list of [arc id >= 0, kind, moat name, the record's epsilon]",
-                ),
-                purchased=rec.get("purchase", _purchase, "[arc id >= 0, label]"),
-                kills=rec.get("kills", _list_of(_int), "a list of integers"),
-            )
+        return IterationRecord(
+            index=rec.get("l", _int, "an integer"),
+            epsilon=rec.get("epsilon", rational, "an exact rational string"),
+            moats=rec.get("moats", _list_of(name), "a list of moat names like 2,3"),
+            payments=rec.get(
+                "payments",
+                lambda value: payments(value, amount),
+                "a list of [arc id >= 0, kind, moat name, the record's epsilon]",
+            ),
+            purchased=rec.get("purchase", _purchase, "[arc id >= 0, label]"),
+            kills=rec.get("kills", _list_of(_int), "a list of integers"),
         )
-    return trace
+
+    return GrowthTrace(*fields, tuple(map(iteration, records)))

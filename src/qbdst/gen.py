@@ -63,9 +63,11 @@ class UndirectedGraph(_Frozen):
 
 def parse_undirected(text: str) -> UndirectedGraph:
     """Read `NODES <n>` / `EDGE <u> <v>` / `END` under the layout rules of
-    the instance format (`instance._records`)."""
+    the instance format (`instance._records`).  A self-loop, an endpoint
+    out of range and a repeated edge, in either orientation, are errors
+    naming the first such line, wherever NODES stands."""
     node_count = None
-    edges: list[tuple[int, int]] = []
+    edges: list[tuple[int, int, int]] = []  # (line, u, v) in file order
     for lineno, keyword, args in _records(text, ("NODES", "EDGE")):
         if keyword == "NODES":
             if node_count is not None or len(args) != 1:
@@ -81,10 +83,23 @@ def parse_undirected(text: str) -> UndirectedGraph:
                 u, v = int(args[0]), int(args[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad edge endpoint") from None
-            edges.append((min(u, v), max(u, v)))
+            edges.append((lineno, u, v))
     if node_count is None:
         raise ParseError("missing NODES section")
-    return UndirectedGraph(node_count=node_count, edges=tuple(sorted(set(edges))))
+    lines: dict[tuple[int, int], int] = {}  # each edge, as u < v -> its line
+    for lineno, u, v in edges:
+        edge = (min(u, v), max(u, v))
+        if u == v:
+            problem = f"self-loop at {u}"
+        elif edge[0] < 1 or edge[1] > node_count:
+            problem = f"edge ({u},{v}) out of range"
+        elif edge in lines:
+            problem = f"edge ({u},{v}) repeats line {lines[edge]}"
+        else:
+            lines[edge] = lineno
+            continue
+        raise ParseError(f"line {lineno}: {problem}")
+    return UndirectedGraph(node_count=node_count, edges=tuple(sorted(lines)))
 
 
 def gen_bad_example(k: int, eps: Fraction) -> Instance:

@@ -4,12 +4,20 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
-from qbdst.engine import MODE_BUCKETED, MODE_STANDARD, GrowthTrace, Solution
+from qbdst.engine import (
+    MODE_BUCKETED,
+    MODE_STANDARD,
+    GrowthTrace,
+    IterationRecord,
+    Payment,
+    Solution,
+)
 from qbdst.instance import Arc, ArcGraph, Instance, validate
-from qbdst.moats import ANTENNA, KILLER, Moat, classify_arc
+from qbdst.moats import ANTENNA, EXPANSION, KILLER, Moat, classify_arc
 from qbdst.oracle import InfeasibleInstanceError, OptResult
 from qbdst.gen import UndirectedGraph, gen_bad_example, gen_grid, reduce_cvc
 
@@ -34,6 +42,12 @@ BRUTE_NODE_LIMIT = 16
 CVC_NODE_LIMIT = 12
 
 
+@cache
+def _masks_by_size(n: int) -> list[int]:
+    """Every nonempty subset of n nodes as a bit mask, smallest first."""
+    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+
+
 def enumerate_minimal_violated_brute(
     inst: Instance, purchased: Iterable[int]
 ) -> list[frozenset[int]]:
@@ -50,9 +64,8 @@ def enumerate_minimal_violated_brute(
     for t in inst.terminals:
         term_mask |= 1 << (t - 1)
 
-    masks = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
     minimal: list[int] = []
-    for mask in masks:
+    for mask in _masks_by_size(n):
         if mask & root_bit or not mask & term_mask:
             continue
         if any(head & mask and not tail & mask for tail, head in arc_bits):
@@ -294,6 +307,97 @@ def payer_map_reference(
         for moat, role in classify_arc(inst, purchased, head_moats[arc.head], arc_id):
             payers.setdefault((arc_id, role), []).append(moat)
     return payers
+
+
+def grow_from_definitions(inst: Instance, mode: str) -> Iterator[IterationRecord]:
+    """The growth phase from the definitions alone, one record per
+    iteration as `engine.steps` yields them.  It uses no `engine` or
+    `moats` code but the record types, so it checks whole runs
+    independently of the moat updates, the payer map and the epsilon
+    shortcut.
+
+    The moats of F are its minimal violated sets, by brute force.  A moat
+    M survives the purchase of arc a when some minimal violated set of
+    F + a holds a terminal of M.  An arc outside F pays each moat it enters
+    (its head inside, its tail outside): as an antenna when its tail is
+    Steiner and its head a terminal, else as an expansion when the moat
+    survives its purchase and as a killer when not; standard mode has one
+    bucket per arc.  Epsilon is the least room per payer over the paid
+    buckets, and the purchase is the least arc id among the tight ones.
+    Its label is the first tight kind in (antenna, expansion, killer)
+    order; in standard mode, antenna, else expansion when an entered moat
+    survives, else killer.  Kills are the live terminals of the moats that
+    do not survive, in moat order."""
+    bucketed = mode == MODE_BUCKETED
+    minimal: dict[frozenset[int], list[frozenset[int]]] = {}
+
+    def moats_of(purchased: frozenset[int]) -> list[frozenset[int]]:
+        if purchased not in minimal:
+            minimal[purchased] = enumerate_minimal_violated_brute(inst, purchased)
+        return minimal[purchased]
+
+    def survives(moat: frozenset[int], purchased: frozenset[int]) -> bool:
+        return any(s & moat & inst.terminals for s in moats_of(purchased))
+
+    def is_antenna(tail: int, head: int) -> bool:
+        steiner = tail != inst.root and tail not in inst.terminals
+        return steiner and head in inst.terminals
+
+    def name(moat: frozenset[int]) -> str:
+        return ",".join(map(str, sorted(moat)))
+
+    purchased: frozenset[int] = frozenset()
+    fills: dict[tuple[int, str], Fraction] = {}
+    alive = set(inst.terminals)
+    index = 0
+    while moats := moats_of(purchased):
+        paying: dict[tuple[int, str], list[frozenset[int]]] = {}
+        for arc_id, (tail, head, _) in enumerate(inst.arcs):
+            for moat in moats:
+                if arc_id in purchased or head not in moat or tail in moat:
+                    continue
+                if not bucketed:
+                    kind = MODE_STANDARD
+                elif is_antenna(tail, head):
+                    kind = ANTENNA
+                else:
+                    kind = EXPANSION if survives(moat, purchased | {arc_id}) else KILLER
+                paying.setdefault((arc_id, kind), []).append(moat)
+        growth = {
+            bucket: (inst.arcs[bucket[0]].cost - fills.get(bucket, 0)) / len(payers)
+            for bucket, payers in paying.items()
+        }
+        epsilon = min(growth.values())
+        for bucket, payers in paying.items():
+            fills[bucket] = fills.get(bucket, 0) + epsilon * len(payers)
+        tight = [bucket for bucket, grows in growth.items() if grows == epsilon]
+        buy = min(arc_id for arc_id, _ in tight)
+        after = purchased | {buy}
+        tail, head, _ = inst.arcs[buy]
+        if bucketed:
+            tight_kinds = {kind for arc_id, kind in tight if arc_id == buy}
+            label = next(k for k in (ANTENNA, EXPANSION, KILLER) if k in tight_kinds)
+        elif is_antenna(tail, head):
+            label = ANTENNA
+        else:
+            entered = [m for m in moats if head in m and tail not in m]
+            label = EXPANSION if any(survives(m, after) for m in entered) else KILLER
+        kills = [t for m in moats if not survives(m, after) for t in sorted(m & alive)]
+        alive.difference_update(kills)
+        yield IterationRecord(
+            index=index,
+            epsilon=epsilon,
+            moats=tuple(moats),
+            payments=tuple(
+                Payment(arc_id, kind, moat)
+                for arc_id, kind in sorted(paying)
+                for moat in sorted(paying[(arc_id, kind)], key=name)
+            ),
+            purchased=(buy, label),
+            kills=tuple(kills),
+        )
+        purchased = after
+        index += 1
 
 
 def dijkstra_all_reference(

@@ -188,8 +188,9 @@ def test_cost_identity_fails_without_one_final_payment():
     )
     rec = trace.iterations[index]
     payments = rec.payments[:pos] + rec.payments[pos + 1 :]
-    trace.iterations[index] = rec._replace(payments=payments)
-    assert not verify_cost_identity(trace, sol)
+    iterations = list(trace.iterations)
+    iterations[index] = rec._replace(payments=payments)
+    assert not verify_cost_identity(trace._replace(iterations=tuple(iterations)), sol)
 
 
 def test_counting_lemmas_four_node():
@@ -236,7 +237,7 @@ def _tampered(trace, sol, bound):
         payments = [Payment(a, EXPANSION, m0) for a in expansions[:3]]
     iterations = list(trace.iterations)
     iterations[rec.index] = rec._replace(moats=moats, payments=tuple(payments))
-    return rec.index, trace._replace(iterations=iterations)
+    return rec.index, trace._replace(iterations=tuple(iterations))
 
 
 COUNTING_BOUNDS = ["antenna_per_moat", "antennas", "killers", "expansions"]
@@ -385,8 +386,9 @@ def test_run_full_baseline_skips_lemmas():
 def test_payments_divergence_detected():
     inst = parse_instance(FOUR_NODE)
     sol, trace = solve(inst)
-    rec = trace.iterations[1]
-    trace.iterations[1] = type(rec)(
+    iterations = list(trace.iterations)
+    rec = iterations[1]
+    iterations[1] = type(rec)(
         index=rec.index,
         epsilon=rec.epsilon,
         moats=rec.moats,
@@ -394,6 +396,7 @@ def test_payments_divergence_detected():
         purchased=rec.purchased,
         kills=rec.kills,
     )
+    trace = trace._replace(iterations=tuple(iterations))
     report = run_full(inst, trace, sol)
     assert not report.payments_consistent
     assert not report.all_ok
@@ -447,7 +450,9 @@ TAMPERINGS = [
 def test_tampered_four_node_trace_names_divergence(tamper, index, name):
     inst = parse_instance(FOUR_NODE)
     _, trace = solve(inst)
-    tamper(trace.iterations)
+    iterations = list(trace.iterations)
+    tamper(iterations)
+    trace = trace._replace(iterations=tuple(iterations))
     report = run_full(inst, trace, reverse_delete(inst, trace))
     assert not report.all_ok
     assert not report.payments_consistent
@@ -478,7 +483,8 @@ def test_run_full_returns_the_certified_solution():
     assert run_full(inst, trace, sol).solution == sol
     assert run_full(inst, trace).solution == sol
     # A tampered epsilon changes the recorded duals, not the certified bound.
-    trace.iterations[0] = trace.iterations[0]._replace(epsilon=Fraction(100))
+    first = trace.iterations[0]._replace(epsilon=Fraction(100))
+    trace = trace._replace(iterations=(first, *trace.iterations[1:]))
     report = run_full(inst, trace, reverse_delete(inst, trace))
     assert report.divergence == (0, "epsilon")
     assert report.solution == sol

@@ -804,7 +804,7 @@ def test_load_errors_name_their_file(tmp_path, capsys, four_node_file):
     edges = tmp_path / "edges.txt"
     edges.write_text("NODES 2\nEDGE 1 5\nEND\n", encoding="utf-8")
     assert cli.main(["gen", "reduce", str(edges)]) == 1
-    assert capsys.readouterr().err == f"error: {edges}: edge (1,5) out of range\n"
+    assert capsys.readouterr().err == f"error: {edges}: line 2: edge (1,5) out of range\n"
 
 
 def test_exponent_literals_are_one_error_line(tmp_path, capsys):

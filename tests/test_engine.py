@@ -3,6 +3,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -18,6 +19,7 @@ from qbdst.engine import (
     reverse_delete,
     solve,
     solve_standard_baseline,
+    steps,
     write_trace,
 )
 from qbdst import engine as engine_module
@@ -41,6 +43,7 @@ from conftest import (
     InvariantBreach,
     acceptance_corpus,
     alive_report,
+    grow_from_definitions,
     payer_map_reference,
     random_connected_graph,
     random_qb_instance,
@@ -167,6 +170,49 @@ def test_solve_validates_instance():
         solve(inst)
 
 
+def test_grow_is_steps_collected():
+    # grow collects steps' records into a trace whose iterations are a
+    # tuple, and read_trace builds the same tuple from the written file.
+    for inst in (parse_instance(FOUR_NODE), gen_bad_example(5, EPS)):
+        for mode in MODES:
+            trace = grow(inst, mode)
+            assert trace.iterations == tuple(steps(inst, mode))
+            loaded = read_trace(io.StringIO(_trace_text(trace)))
+            assert type(loaded.iterations) is tuple
+            assert loaded == trace
+
+
+def test_steps_yields_each_record_as_it_is_made(monkeypatch):
+    # The first record costs one purchase: one moats_after call.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return moats_module.moats_after(*args)
+
+    monkeypatch.setattr(engine_module, "moats_after", counted)
+    first = next(steps(gen_bad_example(16, Fraction(1, 100)), MODE_BUCKETED))
+    assert calls == 1
+    assert first.index == 0
+
+
+def test_steps_checks_its_arguments_at_the_first_next():
+    inst = parse_instance(FOUR_NODE)
+    with pytest.raises(ValueError, match=r"^unknown growth mode 'bogus'$"):
+        grow(inst, "bogus")
+    run = steps(inst, "bogus")
+    with pytest.raises(ValueError, match=r"^unknown growth mode 'bogus'$"):
+        next(run)
+    invalid = replaced(inst, root=9)
+    with pytest.raises(InvalidInstanceError) as from_grow:
+        grow(invalid, MODE_BUCKETED)
+    run = steps(invalid, MODE_BUCKETED)
+    with pytest.raises(InvalidInstanceError) as from_steps:
+        next(run)
+    assert str(from_steps.value) == str(from_grow.value)
+
+
 def test_bad_example_k3_bucketed_run():
     inst = gen_bad_example(3, EPS)
     sol, trace = solve(inst)
@@ -247,16 +293,13 @@ def _reverse_delete_reference(inst, trace):
 def _purchase_trace(inst, purchases, rng):
     # A trace that buys `purchases` in order, with random labels and duals;
     # reverse delete reads only the purchases, their labels and the duals.
-    trace = GrowthTrace(
+    return GrowthTrace(
         mode=MODE_BUCKETED,
         instance_hash="",
         node_count=inst.node_count,
         root=inst.root,
         terminals=inst.terminals,
-        iterations=[],
-    )
-    for index, arc_id in enumerate(purchases):
-        trace.iterations.append(
+        iterations=tuple(
             IterationRecord(
                 index=index,
                 epsilon=Fraction(rng.randint(0, 3), rng.randint(1, 3)),
@@ -265,8 +308,9 @@ def _purchase_trace(inst, purchases, rng):
                 purchased=(arc_id, rng.choice((ANTENNA, EXPANSION, KILLER))),
                 kills=(),
             )
-        )
-    return trace
+            for index, arc_id in enumerate(purchases)
+        ),
+    )
 
 
 def _purchase_lists(inst, rng):
@@ -333,7 +377,7 @@ def test_alive_report_detects_tampering():
     inst = parse_instance(FOUR_NODE)
     _, trace = solve(inst)
     broken = trace.iterations[0]
-    trace.iterations[0] = type(broken)(
+    broken = type(broken)(
         index=broken.index,
         epsilon=broken.epsilon,
         moats=broken.moats,
@@ -341,6 +385,7 @@ def test_alive_report_detects_tampering():
         purchased=broken.purchased,
         kills=(2, 3),
     )
+    trace = trace._replace(iterations=(broken, *trace.iterations[1:]))
     with pytest.raises(InvariantBreach):
         alive_report(trace)
 
@@ -372,6 +417,39 @@ def test_traces_match_pinned_digest():
         for mode in MODES:
             digest.update(_trace_text(grow(inst, mode)).encode("utf-8"))
     assert digest.hexdigest() == TRACE_DIGEST
+
+
+def _first_difference(ours, want):
+    """The first field in which two records differ, or "count" when one
+    run has no record at this iteration."""
+    if ours is None or want is None:
+        return "count"
+    return next(f for f in IterationRecord._fields if getattr(ours, f) != getattr(want, f))
+
+
+def test_steps_match_growth_from_definitions():
+    # Whole runs, record by record, against a growth written from the
+    # definitions alone; the first differing record stops the walk and is
+    # named by (instance, iteration, field).
+    rng = random.Random(14)
+    instances = [
+        (f"random_{i}", random_valid_instance(rng, max_nodes=8, max_arcs=24))
+        for i in range(100)
+    ]
+    instances += [(name, inst) for name, inst in acceptance_corpus() if inst.node_count <= 12]
+    for i in range(8):
+        graph = random_connected_graph(rng, rng.randint(3, 4), max_edges=5)
+        instances.append((f"cvc_{i}", reduce_cvc(graph)))
+    records = 0
+    for name, inst in instances:
+        for mode in MODES:
+            runs = zip_longest(steps(inst, mode), grow_from_definitions(inst, mode))
+            for index, (ours, want) in enumerate(runs):
+                if ours != want:
+                    field = _first_difference(ours, want)
+                    pytest.fail(f"{name} {mode}: iteration {index} {field}")
+                records += 1
+    assert records > 3 * len(instances)
 
 
 def test_trace_round_trip_and_determinism():
@@ -834,7 +912,7 @@ def test_zero_cost_arcs_handled():
 def test_no_terminals_yields_empty_solution():
     inst = parse_instance("NODES 2\nROOT 1\nTERMINALS\nARC 1 2 7\nEND\n")
     sol, trace = solve(inst)
-    assert trace.iterations == []
+    assert trace.iterations == ()
     assert sol.final_arcs == ()
     assert sol.total_cost == 0
     assert sol.lower_bound == 0

@@ -12,7 +12,7 @@ from qbdst.gen import (
     parse_undirected,
     reduce_cvc,
 )
-from qbdst.instance import InputError, serialize_instance, validate
+from qbdst.instance import InputError, ParseError, serialize_instance, validate
 from qbdst.oracle import exact_opt_dp
 
 from conftest import brute_cvc, random_connected_graph
@@ -127,6 +127,22 @@ def test_parse_undirected():
     g = parse_undirected("NODES 3\nEDGE 1 2\nEDGE 3 2\nEND\n")
     assert g.node_count == 3
     assert g.edges == ((1, 2), (2, 3))
+    # Each edge error names the first faulty line, with NODES before the
+    # edges or after them, and an edge repeated in either orientation is
+    # an error.
+    cases = [
+        (["EDGE 1 2", "EDGE 3 3"], "line {second}: self-loop at 3"),
+        (["EDGE 1 5", "EDGE 2 2"], "line {first}: edge (1,5) out of range"),
+        (["EDGE 2 1", "EDGE 0 1"], "line {second}: edge (0,1) out of range"),
+        (["EDGE 1 2", "EDGE 2 1"], "line {second}: edge (2,1) repeats line {first}"),
+        (["EDGE 2 3", "EDGE 2 3", "EDGE 4 4"], "line {second}: edge (2,3) repeats line {first}"),
+    ]
+    for edges, message in cases:
+        # `first` is the line of the first EDGE record.
+        for records, first in ((["NODES 3", *edges], 2), ([*edges, "NODES 3"], 1)):
+            with pytest.raises(ParseError) as caught:
+                parse_undirected("\n".join(records) + "\nEND\n")
+            assert str(caught.value) == message.format(first=first, second=first + 1)
 
 
 @pytest.mark.parametrize(
