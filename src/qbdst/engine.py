@@ -73,6 +73,7 @@ from .instance import (
     ArcGraph,
     InputError,
     Instance,
+    _lines,
     instance_hash,
     is_feasible,
     parse_rational,
@@ -163,7 +164,9 @@ class GrowthTrace(NamedTuple):
         return {rec.purchased[0]: rec.purchased[1] for rec in self.iterations}
 
     def dual_total(self) -> Fraction:
-        return sum(self.duals.values(), Fraction(0))
+        """Each iteration's epsilon once per moat: `sum(duals.values())`,
+        since no iteration of a grown run lists a moat twice."""
+        return sum((rec.epsilon * len(rec.moats) for rec in self.iterations), Fraction(0))
 
 
 class Solution(NamedTuple):
@@ -593,11 +596,7 @@ def read_trace(src: IO[str]) -> GrowthTrace:
     their record's epsilon text.  Lines are checked in file order, so the
     error names the first faulty line.  Arc ids beyond the instance are the
     caller's to reject, since the trace does not know the instance."""
-    records = (
-        _Record(number, line)
-        for number, line in enumerate(src.read().splitlines(), 1)
-        if line.strip()
-    )
+    records = (_Record(number, line) for number, line in _lines(src) if line.strip())
     header = next(records, None)
     if header is None:
         raise InputError("empty trace file")

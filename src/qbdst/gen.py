@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import (
     FAMILY_PLANAR_BIPARTITE,
@@ -16,19 +17,23 @@ from .instance import (
     InputError,
     Instance,
     ParseError,
-    _Frozen,
     _records,
 )
 
 
-class UndirectedGraph(_Frozen):
-    """Simple undirected graph; edges are stored as sorted pairs."""
-
-    __slots__ = ("node_count", "edges")
+class _Graph(NamedTuple):
     node_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __init__(self, node_count: int, edges: tuple[tuple[int, int], ...]) -> None:
+
+class UndirectedGraph(_Graph):
+    """Simple undirected graph; edges are stored as sorted pairs.  Its
+    constructor checks the edges, by keyword or by position; `_make` and
+    `_replace` skip the checks, and no caller uses them."""
+
+    __slots__ = ()
+
+    def __new__(cls, node_count: int, edges: tuple[tuple[int, int], ...]) -> UndirectedGraph:
         seen = set()
         for u, v in edges:
             if u == v:
@@ -40,8 +45,7 @@ class UndirectedGraph(_Frozen):
             if (u, v) in seen:
                 raise InputError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "edges", edges)
+        return super().__new__(cls, node_count, edges)
 
     def is_connected(self) -> bool:
         if self.node_count == 0:

@@ -50,76 +50,21 @@ class Arc(NamedTuple):
     cost: Fraction
 
 
-class _Frozen:
-    """A slotted record with value semantics.  A subclass lists its fields
-    in `__slots__` in constructor order and sets each once in `__init__`,
-    through `object.__setattr__`; equality, hash, repr and pickling read
-    the fields in that order, and assigning or deleting one raises
-    AttributeError."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Instance(_Frozen):
-    """A quasi-bipartite DST instance.
+class Instance(NamedTuple):
+    """A quasi-bipartite DST instance, a NamedTuple like every record.
 
     `terminals` excludes the root.  Every node that is neither the root nor
     a terminal is a Steiner node.  The family tag is declared by the
     instance author and never verified; it only selects reporting
     thresholds downstream.
-
-    Slotted rather than a NamedTuple: the growth loop reads these fields in
-    its inner loops, and a slot read is the faster one.
     """
 
-    __slots__ = ("node_count", "root", "terminals", "arcs", "family", "minor_r")
     node_count: int
     root: int
     terminals: frozenset[int]
     arcs: tuple[Arc, ...]
-    family: str
-    minor_r: int | None
-
-    def __init__(
-        self,
-        node_count: int,
-        root: int,
-        terminals: frozenset[int],
-        arcs: tuple[Arc, ...],
-        family: str = FAMILY_UNKNOWN,
-        minor_r: int | None = None,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "node_count", node_count)
-        set_field(self, "root", root)
-        set_field(self, "terminals", terminals)
-        set_field(self, "arcs", arcs)
-        set_field(self, "family", family)
-        set_field(self, "minor_r", minor_r)
+    family: str = FAMILY_UNKNOWN
+    minor_r: int | None = None
 
     def is_steiner(self, v: int) -> bool:
         return v != self.root and v not in self.terminals
@@ -163,6 +108,14 @@ def _fmt(value, decimal: bool) -> str:
     return text
 
 
+def _lines(src: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The lines of `src`, a file or its text split at '\n', numbered from 1,
+    each without its '\n' and one '\r' before it: every input file's line
+    rule.  A form feed, NEL or U+2028 stays inside its line."""
+    for number, line in enumerate(src, 1):
+        yield number, line.removesuffix("\n").removesuffix("\r")
+
+
 def _records(text: str, keywords: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
     """The records of a keyword file before its END line, each as (line
     number, keyword in upper case, the fields after it): the layout rules
@@ -171,7 +124,7 @@ def _records(text: str, keywords: tuple[str, ...]) -> Iterator[tuple[int, str, l
     case.  A keyword outside `keywords`, content on or after the END line,
     and a file with no END line are ParseErrors naming the line."""
     ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _lines(text.split("\n")):
         fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
@@ -452,11 +405,4 @@ def normalize_parallel(inst: Instance) -> Instance:
     arcs = tuple(arc for i, arc in enumerate(inst.arcs) if i in keep)
     if len(arcs) == len(inst.arcs):
         return inst
-    return Instance(
-        node_count=inst.node_count,
-        root=inst.root,
-        terminals=inst.terminals,
-        arcs=arcs,
-        family=inst.family,
-        minor_r=inst.minor_r,
-    )
+    return inst._replace(arcs=arcs)

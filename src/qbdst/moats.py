@@ -110,33 +110,22 @@ when they reach u.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .instance import ArcGraph, Instance, _Frozen
+from .instance import ArcGraph, Instance
 
 ANTENNA = "antenna"
 EXPANSION = "expansion"
 KILLER = "killer"
 
 
-class Moat(_Frozen):
-    """An active moat: its SCC core and `vertices`, the core plus its
-    Steiner tails.  `vertices` is its identity, in memory and in trace
-    records; its text name exists only in trace files.  Slotted, like
-    `Instance`, for the growth loop's reads."""
+class Moat(NamedTuple):
+    """An active moat, a NamedTuple: its SCC core and `vertices`, the core
+    plus its Steiner tails.  `vertices` is its identity, in memory and in
+    trace records; its text name exists only in trace files."""
 
-    __slots__ = ("core", "vertices")
     core: frozenset[int]
     vertices: frozenset[int]
-
-    def __init__(self, core: frozenset[int], vertices: frozenset[int]) -> None:
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "vertices", vertices)
-
-    def _key(self) -> tuple:
-        # Spelled out for speed: the growth loop and `classify_arc` hash
-        # moats, and the generic `_key` cost the solve path about 1%.
-        return self.core, self.vertices
 
 
 def _components(into: dict[int, list[int]], also: Iterable[int]) -> list[set[int]]:

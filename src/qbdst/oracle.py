@@ -67,13 +67,11 @@ def _touched(inst: Instance) -> Instance:
     for arc in inst.arcs:
         ends.update((arc.tail, arc.head))
     number = {v: i for i, v in enumerate(sorted(ends), 1)}
-    return Instance(
+    return inst._replace(
         node_count=len(number),
         root=number[inst.root],
         terminals=frozenset(number[t] for t in inst.terminals),
         arcs=tuple(arc._replace(tail=number[arc.tail], head=number[arc.head]) for arc in inst.arcs),
-        family=inst.family,
-        minor_r=inst.minor_r,
     )
 
 

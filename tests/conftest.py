@@ -435,13 +435,6 @@ def dijkstra_all_reference(
     return dist_all, parent_all
 
 
-def replaced(inst: Instance, **changes) -> Instance:
-    """`inst` with the named fields changed, as `_replace` does for the
-    NamedTuple records."""
-    fields = {name: getattr(inst, name) for name in Instance.__slots__}
-    return Instance(**{**fields, **changes})
-
-
 def random_qb_instance(
     rng: random.Random,
     max_nodes: int = 10,

@@ -32,7 +32,6 @@ from conftest import (
     acceptance_corpus,
     counting_lemmas_reference,
     random_valid_instance,
-    replaced,
 )
 
 EPS = Fraction(1, 100)
@@ -343,7 +342,7 @@ def test_ratio_report_minor_free_breach_is_exact(r, offset):
     # A float cannot tell ratios 10^-30 apart at this size; the exact test
     # flags the ratio just above the bound and not the one just below.
     bound = _minor_free_bound_to_60_digits(r)
-    inst = replaced(parse_instance(FOUR_NODE), family="minor_free", minor_r=r)
+    inst = parse_instance(FOUR_NODE)._replace(family="minor_free", minor_r=r)
     sol, _ = solve(inst)
     for ratio, breach in ((bound + offset, True), (bound - offset, False)):
         fake = sol._replace(total_cost=ratio * sol.lower_bound)

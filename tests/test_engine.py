@@ -48,7 +48,6 @@ from conftest import (
     random_connected_graph,
     random_qb_instance,
     random_valid_instance,
-    replaced,
     write_trace_reference,
 )
 
@@ -204,7 +203,7 @@ def test_steps_checks_its_arguments_at_the_first_next():
     run = steps(inst, "bogus")
     with pytest.raises(ValueError, match=r"^unknown growth mode 'bogus'$"):
         next(run)
-    invalid = replaced(inst, root=9)
+    invalid = inst._replace(root=9)
     with pytest.raises(InvalidInstanceError) as from_grow:
         grow(invalid, MODE_BUCKETED)
     run = steps(invalid, MODE_BUCKETED)
@@ -680,7 +679,7 @@ def test_nodes_no_arc_touches_cost_nothing(monkeypatch):
 
     monkeypatch.setattr(moats_module, "_moat", counted)
     for inst in (parse_instance(SINGLE_ARC), parse_instance(FOUR_NODE), gen_bad_example(4, EPS)):
-        padded = replaced(inst, node_count=inst.node_count + 10_000)
+        padded = inst._replace(node_count=inst.node_count + 10_000)
         runs = []
         for case in (inst, padded):
             calls = 0
@@ -925,6 +924,7 @@ def test_invariants_soak_random_instances():
         for runner in (solve, solve_standard_baseline):
             sol, trace = runner(inst)
             alive_report(trace)
+            assert trace.dual_total() == sum(trace.duals.values(), Fraction(0))
             assert run_full(inst, trace, sol).all_ok
 
 
@@ -1123,6 +1123,19 @@ def test_read_trace_rejects_truncated_line():
     lines[2] = lines[2][:10]
     with pytest.raises(ValueError, match="trace line 3: not JSON"):
         read_trace(io.StringIO("\n".join(lines)))
+
+
+def test_read_trace_follows_the_line_rule():
+    # Lines end at '\n' alone, after one '\r' is stripped: a CRLF trace
+    # reads like the LF one, and a raw U+2028 inside a JSON string is no
+    # line break.
+    _, trace = solve(parse_instance(FOUR_NODE))
+    text = _trace_text(trace)
+    assert read_trace(io.StringIO(text.replace("\n", "\r\n"))) == trace
+    rows = _four_node_rows()
+    rows[0]["instance"] = "a\u2028b"
+    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
+    assert read_trace(io.StringIO("\n".join(lines))).instance_hash == "a\u2028b"
 
 
 def test_read_trace_names_the_first_faulty_line():

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -161,6 +162,22 @@ def test_undirected_graph_rejects_bad_edges(edges, message):
     # a one-line CLI error.
     with pytest.raises(InputError, match=message):
         UndirectedGraph(node_count=3, edges=edges)
+
+
+def test_undirected_graph_is_a_checked_value():
+    # Equal graphs hash equal, a pickled graph comes back equal, and a
+    # field cannot be assigned.  The positional form checks the edges too.
+    rng = random.Random(41)
+    for _ in range(25):
+        g = random_connected_graph(rng, rng.randint(1, 7), 12)
+        again = UndirectedGraph(g.node_count, tuple(g.edges))
+        assert again == g
+        assert hash(again) == hash(g)
+        assert pickle.loads(pickle.dumps(g)) == g
+        with pytest.raises(AttributeError):
+            again.node_count = g.node_count + 1
+    with pytest.raises(InputError, match=r"^duplicate edge \(1,2\)$"):
+        UndirectedGraph(3, ((1, 2), (1, 2)))
 
 
 def test_reduce_single_edge():

@@ -22,7 +22,7 @@ from qbdst.instance import (
     validate,
 )
 
-from conftest import SINGLE_ARC, random_qb_instance, random_valid_instance, replaced
+from conftest import SINGLE_ARC, random_qb_instance, random_valid_instance
 
 
 def test_parse_minimal():
@@ -125,6 +125,15 @@ def _lines(records):
         (lambda rs: _lines(rs[1:]), "missing END marker"),
         (lambda rs: _lines(rs[1:]) + "END\n", "missing NODES section"),
         (lambda rs: "Bogus 1\n" + _lines(rs) + "END\n", "line 1: unknown record 'Bogus'"),
+        # Lines end at '\n' alone, after one '\r' is stripped.
+        (lambda rs: "".join(f"{r}\r\n" for r in rs) + "END\r\n", None),
+        (lambda rs: _lines(f"{r} # a\x0cnote" for r in rs) + "END\n", None),
+        (lambda rs: _lines(f"{r} # a\x85note" for r in rs) + "END\n", None),
+        (lambda rs: _lines(f"{r} # a\u2028note" for r in rs) + "END\n", None),
+        (
+            lambda rs: "# a\x0cb\x85c\u2028d\r\nBogus 1\n" + _lines(rs) + "END\n",
+            "line 2: unknown record 'Bogus'",
+        ),
     ],
     ids=[
         "comments_blank_lines",
@@ -135,6 +144,11 @@ def _lines(records):
         "missing_end_and_nodes",
         "missing_nodes",
         "unknown_record",
+        "crlf",
+        "form_feed_in_comment",
+        "nel_in_comment",
+        "line_separator_in_comment",
+        "line_numbers_past_separators",
     ],
 )
 def test_keyword_formats_share_the_layout_rules(file_format, layout, message):
@@ -290,7 +304,7 @@ def test_parse_rejects_a_second_family_line(first, second):
 
 
 def _declared(family, minor_r):
-    return replaced(parse_instance(SINGLE_ARC), family=family, minor_r=minor_r)
+    return parse_instance(SINGLE_ARC)._replace(family=family, minor_r=minor_r)
 
 
 def _assert_rejected(inst, message):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -33,6 +34,27 @@ def _inst(text: str) -> Instance:
 TWO_TERMINALS = _inst(
     "NODES 3\nROOT 1\nTERMINALS 2 3\nARC 2 3 1\nARC 3 2 1\nARC 1 2 1\nEND\n"
 )
+
+
+def test_moats_are_values():
+    # Two builds of the same moats give equal moats with equal hashes, a
+    # pickled moat comes back equal, and a field cannot be assigned.  A
+    # moat equals the pair (core, vertices).
+    rng = random.Random(42)
+    checked = 0
+    for _ in range(25):
+        inst = random_valid_instance(rng, max_nodes=8, max_arcs=30)
+        purchases = grow(inst, MODES[0]).purchases()
+        bought = purchases[: rng.randint(0, len(purchases))]
+        for moat, again in zip(active_moats(inst, bought), active_moats(inst, bought)):
+            assert again == moat
+            assert hash(again) == hash(moat)
+            assert again == (moat.core, moat.vertices)
+            assert pickle.loads(pickle.dumps(moat)) == moat
+            with pytest.raises(AttributeError):
+                again.vertices = moat.core
+            checked += 1
+    assert checked > 25
 
 
 def test_scc_two_cycle():

@@ -29,7 +29,6 @@ from conftest import (
     random_connected_graph,
     random_qb_instance,
     random_valid_instance,
-    replaced,
 )
 
 EPS = Fraction(1, 100)
@@ -306,7 +305,7 @@ def test_dp_equals_reference_fill(dtype):
                 factor = 2**62 + Fraction(1, 3)
             else:
                 factor = max(1, _DTYPE_TOTAL[dtype] // max(1, total))
-            inst = replaced(base, arcs=tuple(a._replace(cost=a.cost * factor) for a in base.arcs))
+            inst = base._replace(arcs=tuple(a._replace(cost=a.cost * factor) for a in base.arcs))
             assert _table_dtype(inst) == dtype
             result = exact_opt_dp(inst)
             assert result == _exact_opt_dp_reference(inst), (k, dtype)
@@ -330,7 +329,7 @@ def test_dp_equals_reference_fill_with_many_nodes(dtype, bound, monkeypatch):
         base = _dp_instance(rng, k, rng.randint(30, 40), touch_all=True)
         total = sum(_scaled_costs(base)[0])
         factor = max(1, _DTYPE_TOTAL[dtype] // max(1, total))
-        inst = replaced(base, arcs=tuple(a._replace(cost=a.cost * factor) for a in base.arcs))
+        inst = base._replace(arcs=tuple(a._replace(cost=a.cost * factor) for a in base.arcs))
         assert _table_dtype(inst) == dtype
         assert oracle._touched(inst).node_count > (1 << 5) - 1
         assert exact_opt_dp(inst) == _exact_opt_dp_reference(inst), (k, dtype)
@@ -353,8 +352,8 @@ def test_dp_at_dtype_boundaries_equals_brute(bits):
         below = (2 ** (bits - 2) - 1) // total
         opt = exact_opt_dp(inst).opt_cost
         for factor in (below, below + 1):
-            scaled = replaced(
-                inst, arcs=tuple(a._replace(cost=a.cost * scale * factor) for a in inst.arcs)
+            scaled = inst._replace(
+                arcs=tuple(a._replace(cost=a.cost * scale * factor) for a in inst.arcs)
             )
             dp = exact_opt_dp(scaled)
             assert dp.opt_cost == exact_opt_brute(scaled).opt_cost
@@ -395,7 +394,7 @@ def test_dp_object_dtype_fallback_equals_brute():
     checked = 0
     for _ in range(60):
         inst = random_valid_instance(rng)
-        huge = replaced(inst, arcs=tuple(a._replace(cost=a.cost * scale) for a in inst.arcs))
+        huge = inst._replace(arcs=tuple(a._replace(cost=a.cost * scale) for a in inst.arcs))
         costs, _ = _scaled_costs(huge)
         if 4 * (sum(costs) + 1) < 2**62:
             continue  # every arc costs 0
@@ -451,8 +450,7 @@ def _padded(inst: Instance, stride: int, extra: int) -> Instance:
     after the last: stride - 1 nodes that no arc touches between each pair
     of its nodes, and `extra` more at the end.  Arc ids are unchanged."""
     rename = lambda v: stride * (v - 1) + 1
-    return replaced(
-        inst,
+    return inst._replace(
         node_count=rename(inst.node_count) + extra,
         root=rename(inst.root),
         terminals=frozenset(map(rename, inst.terminals)),
