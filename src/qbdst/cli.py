@@ -9,7 +9,8 @@ input error (an `InputError` or `OSError`: a parse, schema or validation
 error, a generator argument, an unreadable or undecodable file) print one
 `error:` line and exit 1; a decode or parse error starts with the path of
 its file.  The oracle's size guard exits 3.  Any other exception is a
-bug and keeps its traceback.
+bug and keeps its traceback.  Each file is opened once and its lines go
+to the parser as read, under the one line rule of `instance._lines`.
 
 Each command imports the modules it runs, so a start loads only those:
 `gen` loads `gen`, `oracle` loads `oracle`, `solve` and `audit` load
@@ -20,7 +21,6 @@ loads all of these but `gen`.  `import qbdst.cli` alone loads `instance`.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 import time
 from fractions import Fraction
@@ -60,10 +60,10 @@ INPUT_ERRORS = (InputError, OSError)
 
 
 def _read(path: str, parse):
-    """`parse` applied to the text of the file at `path`.  A decode or parse
-    error becomes an InputError that starts with the path."""
+    """`parse` of the open file at `path`: a decode or parse error gets the path in front."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            return parse(lines)
     except (UnicodeDecodeError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -244,7 +244,7 @@ def cmd_audit(args) -> int:
         from . import oracle
 
     inst = _load_instance(args.instance)
-    trace = _read(args.trace, lambda text: engine.read_trace(io.StringIO(text)))
+    trace = _read(args.trace, engine.read_trace)
     if trace.instance_hash != instance_hash(inst):
         raise InputError("trace does not match instance (hash mismatch)")
     if _report_invalid(inst):

@@ -164,9 +164,9 @@ class GrowthTrace(NamedTuple):
         return {rec.purchased[0]: rec.purchased[1] for rec in self.iterations}
 
     def dual_total(self) -> Fraction:
-        """Each iteration's epsilon once per moat: `sum(duals.values())`,
-        since no iteration of a grown run lists a moat twice."""
-        return sum((rec.epsilon * len(rec.moats) for rec in self.iterations), Fraction(0))
+        """Each nonzero epsilon once per moat of its iteration, which is
+        `sum(duals.values())`: no iteration of a grown run lists a moat twice."""
+        return sum((r.epsilon * len(r.moats) for r in self.iterations if r.epsilon), Fraction(0))
 
 
 class Solution(NamedTuple):
@@ -576,8 +576,8 @@ class _Record:
         self.where = f"trace line {number}"
         try:
             self.row = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{self.where}: not JSON ({exc.msg})") from None
+        except ValueError as exc:  # bad JSON, or an int past Python's digit limit
+            raise InputError(f"{self.where}: not JSON ({getattr(exc, 'msg', exc)})") from None
         if type(self.row) is not dict:
             raise InputError(f"{self.where}: not a JSON object")
 
@@ -590,12 +590,12 @@ class _Record:
             raise InputError(f"{self.where}: {key} must be {expected}") from None
 
 
-def read_trace(src: IO[str]) -> GrowthTrace:
-    """Parse a trace file, checking its schema: key presence, value types,
-    arc ids >= 0, moat names, a known mode and payment amounts that are
-    their record's epsilon text.  Lines are checked in file order, so the
-    error names the first faulty line.  Arc ids beyond the instance are the
-    caller's to reject, since the trace does not know the instance."""
+def read_trace(src: Iterable[str]) -> GrowthTrace:
+    """Parse a trace file from its text or lines, checking its schema: key
+    presence, value types, arc ids >= 0, moat names, a known mode and
+    payment amounts that are their record's epsilon text.  Lines are checked
+    in file order, so the error names the first faulty line.  Arc ids beyond
+    the instance are the caller's to reject: the trace does not know it."""
     records = (_Record(number, line) for number, line in _lines(src) if line.strip())
     header = next(records, None)
     if header is None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .instance import (
     FAMILY_PLANAR_BIPARTITE,
@@ -50,29 +50,29 @@ class UndirectedGraph(_Graph):
     def is_connected(self) -> bool:
         if self.node_count == 0:
             return False
-        adjacency: dict[int, list[int]] = {v: [] for v in range(1, self.node_count + 1)}
+        adjacency: dict[int, list[int]] = {}  # only the nodes the edges touch
         for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
         seen = {1}
         work = [1]
         while work:
             x = work.pop()
-            for y in adjacency[x]:
+            for y in adjacency.get(x, ()):
                 if y not in seen:
                     seen.add(y)
                     work.append(y)
         return len(seen) == self.node_count
 
 
-def parse_undirected(text: str) -> UndirectedGraph:
+def parse_undirected(src: Iterable[str]) -> UndirectedGraph:
     """Read `NODES <n>` / `EDGE <u> <v>` / `END` under the layout rules of
     the instance format (`instance._records`).  A self-loop, an endpoint
     out of range and a repeated edge, in either orientation, are errors
     naming the first such line, wherever NODES stands."""
     node_count = None
     edges: list[tuple[int, int, int]] = []  # (line, u, v) in file order
-    for lineno, keyword, args in _records(text, ("NODES", "EDGE")):
+    for lineno, keyword, args in _records(src, ("NODES", "EDGE")):
         if keyword == "NODES":
             if node_count is not None or len(args) != 1:
                 raise ParseError(f"line {lineno}: bad NODES record")

@@ -109,14 +109,14 @@ def _fmt(value, decimal: bool) -> str:
 
 
 def _lines(src: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """The lines of `src`, a file or its text split at '\n', numbered from 1,
-    each without its '\n' and one '\r' before it: every input file's line
-    rule.  A form feed, NEL or U+2028 stays inside its line."""
-    for number, line in enumerate(src, 1):
+    """The lines of `src`, text split at '\n' or a file's lines, numbered from
+    1, each without its '\n' and one '\r' before it: every input file's
+    line rule.  A form feed, NEL or U+2028 stays inside its line."""
+    for number, line in enumerate(src.split("\n") if isinstance(src, str) else src, 1):
         yield number, line.removesuffix("\n").removesuffix("\r")
 
 
-def _records(text: str, keywords: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
+def _records(src: Iterable[str], keywords: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
     """The records of a keyword file before its END line, each as (line
     number, keyword in upper case, the fields after it): the layout rules
     of the instance format and of `gen.parse_undirected`'s edge lists.
@@ -124,7 +124,7 @@ def _records(text: str, keywords: tuple[str, ...]) -> Iterator[tuple[int, str, l
     case.  A keyword outside `keywords`, content on or after the END line,
     and a file with no END line are ParseErrors naming the line."""
     ended = False
-    for lineno, raw in _lines(text.split("\n")):
+    for lineno, raw in _lines(src):
         fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
@@ -141,8 +141,8 @@ def _records(text: str, keywords: tuple[str, ...]) -> Iterator[tuple[int, str, l
         raise ParseError("missing END marker")
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the instance file format.
+def parse_instance(src: Iterable[str]) -> Instance:
+    """Parse the instance file format, from its text or its lines.
 
     Format (one record per line, under the layout rules of `_records`)::
 
@@ -167,7 +167,7 @@ def parse_instance(text: str) -> Instance:
     def err(lineno: int, msg: str) -> ParseError:
         return ParseError(f"line {lineno}: {msg}")
 
-    for lineno, keyword, args in _records(text, ("NODES", "ROOT", "TERMINALS", "FAMILY", "ARC")):
+    for lineno, keyword, args in _records(src, ("NODES", "ROOT", "TERMINALS", "FAMILY", "ARC")):
         if keyword == "NODES":
             if node_count is not None:
                 raise err(lineno, "duplicate NODES section")

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -519,6 +520,93 @@ def test_audit_mutation_fuzz_never_raises(tmp_path, capsys, inst_text):
             assert captured.err.count("\n") == 1
 
 
+# Seeds of the keyword-file fuzz: each format's file, and the command that
+# reads it.  The instance uses every record kind and each cost literal form.
+KEYWORD_FILES = {
+    "instance": (
+        "# four nodes\nNODES 3\nROOT 1\nTERMINALS 2 3\nFAMILY minor_free 5\n"
+        "ARC 1 2 3\nARC 1 3 3/2\nARC 3 2 0.5\nARC 2 3 1\nEND\n",
+        ["solve", "{path}", "--audit"],
+    ),
+    "edges": (
+        "# a 4-cycle\nNODES 4\nEDGE 1 2\nEDGE 2 3\n\nEDGE 3 4\nEDGE 4 1\nEND\n",
+        ["gen", "reduce", "{path}"],
+    ),
+}
+# Digits that are not ASCII: `int` reads the first two, not superscripts.
+OTHER_DIGITS = (
+    "".join(map(chr, range(0x660, 0x66A))),  # Arabic-Indic
+    "".join(map(chr, range(0xFF10, 0xFF1A))),  # fullwidth
+    "⁰¹²³⁴⁵⁶⁷⁸⁹",
+)
+
+
+def _other_number(rng: random.Random, token: str) -> str:
+    """A huge stand-in for an integer token (past 64 bits, just under and
+    past Python's 4300-digit parse limit), or the token in other digits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return str(rng.randrange(10**18, 10**30))
+    if kind == 1:
+        return "9" * rng.choice((4299, 5000))
+    return token.translate(str.maketrans("0123456789", rng.choice(OTHER_DIGITS)))
+
+
+def _mutate_keyword_file(rng: random.Random, text: str) -> bytes:
+    """`text` after one to three line, case, line-break or number edits,
+    then a flipped bit in three files of ten."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("drop", "repeat", "swap", "case", "insert", "number", "crlf"))
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[j])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "case":
+            lines[i] = "".join(rng.choice((c.lower(), c.upper())) for c in lines[i])
+        elif kind == "insert":
+            at = rng.randrange(len(lines[i]) + 1)
+            brk = rng.choice(("\x0c", "\x85", "\u2028", "\r", "\r\n"))
+            lines[i] = lines[i][:at] + brk + lines[i][at:]
+        elif kind == "number":
+            spans = [m.span() for m in re.finditer("[0-9]+", lines[i])]
+            if spans:
+                a, b = rng.choice(spans)
+                lines[i] = lines[i][:a] + _other_number(rng, lines[i][a:b]) + lines[i][b:]
+        else:
+            lines = [line + "\r" for line in lines]
+        lines = lines or [""]
+    data = bytearray("\n".join(lines).encode("utf-8"))
+    if data and rng.random() < 0.3:
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("file_format", sorted(KEYWORD_FILES))
+def test_keyword_file_mutation_fuzz_never_raises(tmp_path, capsys, file_format):
+    # Exit 0, 1 or 2, never a traceback; exit 1 prints one `error:` line,
+    # or, for an instance that parses but fails validation, only
+    # `invalid:` lines on stdout.
+    text, command = KEYWORD_FILES[file_format]
+    path = tmp_path / "mutated.txt"
+    argv = [arg.format(path=path) for arg in command]
+    rng = random.Random(2025)
+    for trial in range(250):
+        data = _mutate_keyword_file(rng, text)
+        path.write_bytes(data)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (trial, data)
+        if code == 1 and captured.err:
+            _one_error_line(captured.err)
+        elif code == 1:
+            assert captured.out.startswith("invalid: "), (trial, data)
+            assert all(line.startswith("invalid: ") for line in captured.out.splitlines())
+
+
 def _one_error_line(err: str) -> None:
     assert err.startswith("error: ")
     assert err.count("\n") == 1
@@ -531,6 +619,10 @@ BAD_INPUTS = {
     "directory": lambda path: path.mkdir(),
     "non_utf8": lambda path: path.write_bytes(b"\xff\xfeNODES 3\n"),
     "truncated": lambda path: path.write_text(FOUR_NODE[:25], encoding="utf-8"),
+    # Only '\n' ends a line, so this file is one line.
+    "lone_cr": lambda path: path.write_bytes(FOUR_NODE.replace("\n", "\r").encode()),
+    # Past Python's 4300-digit limit on reading an int, in a JSON trace too.
+    "huge_int": lambda path: path.write_text('{"nodes": ' + "9" * 5000 + "}\n", encoding="utf-8"),
 }
 
 
@@ -805,6 +897,46 @@ def test_load_errors_name_their_file(tmp_path, capsys, four_node_file):
     edges.write_text("NODES 2\nEDGE 1 5\nEND\n", encoding="utf-8")
     assert cli.main(["gen", "reduce", str(edges)]) == 1
     assert capsys.readouterr().err == f"error: {edges}: line 2: edge (1,5) out of range\n"
+
+    # Only '\n' ends a line: each file with lone '\r' line ends is one
+    # line, and its CRLF version still reads.
+    edges.write_text("NODES 2\nEDGE 1 2\nEND\n", encoding="utf-8")
+    for path, argv, error in (
+        (four_node_file, ["solve", str(four_node_file)], "line 1: NODES expects one integer"),
+        (edges, ["gen", "reduce", str(edges)], "line 1: bad NODES record"),
+        (
+            trace,
+            ["audit", str(four_node_file), "--trace", str(trace)],
+            "trace line 1: not JSON (Extra data)",
+        ),
+    ):
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(text.replace("\n", "\r").encode())
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+
+
+def test_audit_reads_the_trace_from_its_open_file(tmp_path, capsys, monkeypatch, four_node_file):
+    # `read_trace` gets the open file, which it reads line by line, not a
+    # copy of the file's text; the file is closed afterwards.
+    trace = tmp_path / "t.jsonl"
+    assert cli.main(["solve", str(four_node_file), "--trace", str(trace)]) == 0
+    sources = []
+    read_trace = engine.read_trace
+
+    def spy(src):
+        sources.append(src)
+        return read_trace(src)
+
+    monkeypatch.setattr(engine, "read_trace", spy)
+    assert cli.main(["audit", str(four_node_file), "--trace", str(trace)]) == 0
+    [src] = sources
+    assert not isinstance(src, io.StringIO)
+    assert src.name == str(trace)
+    assert src.closed
 
 
 def test_exponent_literals_are_one_error_line(tmp_path, capsys):

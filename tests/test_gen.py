@@ -213,6 +213,10 @@ def test_reduce_rejects_disconnected():
     g = UndirectedGraph(node_count=4, edges=((1, 2), (3, 4)))
     with pytest.raises(ValueError, match="connected"):
         reduce_cvc(g)
+    # Nodes no edge touches cost nothing: the connectivity test visits only
+    # the nodes the edges touch.
+    with pytest.raises(ValueError, match="connected"):
+        reduce_cvc(UndirectedGraph(node_count=10**18, edges=((1, 2),)))
 
 
 def test_reduce_rejects_edgeless():
